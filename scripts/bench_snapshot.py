@@ -34,6 +34,12 @@ each layer is output-invisible:
                       1.05 the script exits nonzero, same as an
                       equivalence failure.  (An informational
                       enabled-telemetry timing rides along.)
+* ``eig_kernel``    — the EIG campaigns the CLI runs (K7/f=2 and
+                      K10/f=3, node faults only), with devices over the
+                      compiled path space (``eig_devices``) vs the
+                      dict-tree oracle (``repro.testing.
+                      ReferenceEIGDevice``); byte-identical sorted-JSON
+                      reports required.
 * ``checkpoint_overhead`` — ``run_campaign(store=None)`` vs a bare
                       hand-rolled attempt-scan loop with no run-store
                       branches.  Same hard-gate contract at 1.05;
@@ -79,7 +85,10 @@ from repro.runtime.memo import BehaviorCache  # noqa: E402
 from repro.runtime.plan import compile_sync_plan  # noqa: E402
 from repro.runtime.sync.executor import run  # noqa: E402
 from repro.runtime.sync.system import make_system  # noqa: E402
-from repro.testing import reference_sync_run  # noqa: E402
+from repro.testing import (  # noqa: E402
+    ReferenceEIGDevice,
+    reference_sync_run,
+)
 
 
 def _naive_factory(graph):
@@ -307,6 +316,74 @@ def bench_sweep(smoke):
     }
 
 
+def _reference_eig_factory(max_faults):
+    def factory(graph):
+        roster = tuple(graph.nodes)
+        return {u: ReferenceEIGDevice(u, roster, max_faults) for u in roster}
+
+    return factory
+
+
+def _compiled_eig_factory(max_faults):
+    return lambda graph: eig_devices(graph, max_faults)
+
+
+def _campaign_json(config):
+    return json.dumps(campaign_to_dict(run_campaign(config)), sort_keys=True)
+
+
+def bench_eig_kernel(smoke):
+    """EIG campaigns on the compiled path space vs the dict-tree oracle.
+
+    The same campaign as ``repro campaign --protocol eig --graph
+    complete:N --faults F --links 0 --attempts A`` (default memo, no
+    store), run in-process once per device family; the reports must
+    be byte-identical.  The legs are timed interleaved, best-of, so
+    clock drift hits both alike."""
+    shapes = ((7, 2, 30), (10, 3, 4)) if smoke else ((7, 2, 400), (10, 3, 40))
+    repeats = 1 if smoke else 3
+    workloads = {}
+    for n, f, attempts in shapes:
+        configs = {
+            leg: CampaignConfig(
+                graph=complete_graph(n),
+                device_factory=factory(f),
+                rounds=f + 1,
+                max_node_faults=f,
+                max_link_faults=0,
+                attempts=attempts,
+                seed=0,
+            )
+            for leg, factory in (
+                ("reference", _reference_eig_factory),
+                ("compiled", _compiled_eig_factory),
+            )
+        }
+        best = dict.fromkeys(configs, float("inf"))
+        reports = {}
+        for _ in range(repeats):
+            for leg, config in configs.items():
+                start = time.perf_counter()
+                reports[leg] = _campaign_json(config)
+                best[leg] = min(best[leg], time.perf_counter() - start)
+        t_ref, t_kernel = best["reference"], best["compiled"]
+        workloads[f"K{n}/f={f}"] = {
+            "workload": f"EIG campaign on K{n}, f={f}, {attempts} attempts",
+            "reference_s": t_ref,
+            "reference_ops": attempts / t_ref if t_ref else None,
+            "compiled_s": t_kernel,
+            "compiled_ops": attempts / t_kernel if t_kernel else None,
+            "speedup": t_ref / t_kernel if t_kernel else None,
+            "identical_output": reports["reference"] == reports["compiled"],
+        }
+    return {
+        "workloads": workloads,
+        "identical_output": all(
+            w["identical_output"] for w in workloads.values()
+        ),
+    }
+
+
 #: Hard ceiling on the disabled-telemetry / bare hot-path ratio.
 TELEMETRY_OVERHEAD_BUDGET = 1.05
 
@@ -518,6 +595,7 @@ BENCHES = {
     "orbit_dedup": bench_orbit_dedup,
     "incremental_shrink": bench_incremental_shrink,
     "sweep": bench_sweep,
+    "eig_kernel": bench_eig_kernel,
     "parallel": bench_parallel,
     "telemetry_overhead": bench_telemetry_overhead,
     "checkpoint_overhead": bench_checkpoint_overhead,

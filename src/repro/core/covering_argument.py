@@ -65,7 +65,11 @@ class ConstructedBehavior:
     inputs: Mapping[NodeId, Any]
 
     def decisions(self) -> dict[NodeId, Any | None]:
-        return {u: self.behavior.decision(u) for u in self.correct_nodes}
+        return {
+            u: self.behavior.decision(u)
+            for u in self.behavior.graph.nodes
+            if u in self.correct_nodes
+        }
 
 
 def build_base_behavior(

@@ -163,8 +163,8 @@ def fire_time_profile(witness: ImpossibilityWitness) -> list[tuple[str, dict]]:
             (
                 checked.label,
                 {
-                    str(u): constructed.behavior.node(u).fire_time
-                    for u in constructed.correct_nodes
+                    str(u): fire_time
+                    for u, fire_time in constructed.fire_times().items()
                 },
             )
         )

@@ -44,10 +44,14 @@ class TimedConstructedBehavior:
     inputs: Mapping[NodeId, Any]
 
     def decisions(self) -> dict[NodeId, Any | None]:
-        return {u: self.behavior.node(u).decision for u in self.correct_nodes}
+        return {u: self.behavior.node(u).decision for u in self._correct()}
 
     def fire_times(self) -> dict[NodeId, float | None]:
-        return {u: self.behavior.node(u).fire_time for u in self.correct_nodes}
+        return {u: self.behavior.node(u).fire_time for u in self._correct()}
+
+    def _correct(self) -> list[NodeId]:
+        """The correct nodes in the graph's node order."""
+        return [u for u in self.behavior.graph.nodes if u in self.correct_nodes]
 
 
 def build_base_behavior_timed(

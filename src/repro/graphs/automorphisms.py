@@ -326,11 +326,12 @@ class OrbitIndex:
         max_group: int = 5_000,
     ) -> None:
         self.graph = graph
-        group, exact = automorphism_group(graph, limit=limit)
         # Canonicalization applies every group element to every
         # scenario; past a few thousand elements that costs more than
-        # the execution it saves, so degrade to identity-only.
-        if exact and len(group) <= max_group:
+        # the execution it saves, so degrade to identity-only — and
+        # stop enumerating as soon as the group is known to be that big.
+        group, exact = automorphism_group(graph, limit=min(limit, max_group))
+        if exact:
             self.group: tuple[Automorphism, ...] = group
             self.exact = True
         else:

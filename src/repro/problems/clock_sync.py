@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..graphs.graph import NodeId
 from ..runtime.timed.clocks import ClockFunction
-from .spec import SpecVerdict, Violation
+from .spec import SpecVerdict, Violation, in_node_order
 
 LogicalClock = Callable[[float], float]
 Envelope = Callable[[float], float]
@@ -62,7 +62,7 @@ class ClockSyncSpec:
         """Pairwise skew of correct logical clocks at one time ``t >= t'``."""
         if t < self.t_prime:
             raise ValueError(f"agreement binds only from t' = {self.t_prime}")
-        correct = list(correct)
+        correct = in_node_order(correct, logical)
         bound = self.agreement_bound(t)
         violations = []
         readings = {u: logical[u](t) for u in correct}
@@ -91,7 +91,7 @@ class ClockSyncSpec:
         low = self.lower(self.p(t))
         high = self.upper(self.q(t))
         violations = []
-        for u in correct:
+        for u in in_node_order(correct, logical):
             value = logical[u](t)
             if value < low - tolerance or value > high + tolerance:
                 violations.append(
@@ -112,7 +112,7 @@ class ClockSyncSpec:
         tolerance: float = 1e-9,
     ) -> SpecVerdict:
         """Agreement (if ``t >= t'``) plus validity at time ``t``."""
-        correct = list(correct)
+        correct = in_node_order(correct, logical)
         violations = list(
             self.check_validity_at(logical, correct, t, tolerance).violations
         )

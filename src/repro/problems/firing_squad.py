@@ -18,7 +18,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from ..graphs.graph import NodeId
-from .spec import SpecVerdict, Violation
+from .spec import SpecVerdict, Violation, in_node_order
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class FiringSquadSpec:
         correct: Iterable[NodeId],
         all_correct: bool,
     ) -> SpecVerdict:
-        correct = list(correct)
+        correct = in_node_order(correct, fire_times)
         violations: list[Violation] = []
         fired = {u: fire_times[u] for u in correct if fire_times[u] is not None}
         if fired:

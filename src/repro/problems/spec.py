@@ -13,7 +13,7 @@ synchronous engines, the timed engines, and the protocol test suites.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -50,6 +50,18 @@ class SpecVerdict:
         if self.ok:
             return "all conditions satisfied"
         return "; ".join(str(v) for v in self.violations)
+
+
+def in_node_order(
+    nodes: Iterable[NodeId], outcome: Mapping[NodeId, Any]
+) -> list[NodeId]:
+    """``nodes`` as a list.  A set comes out in the order of ``outcome``
+    (decisions, fire times or clocks, built in the graph's node order),
+    so a verdict names its nodes in an order that does not depend on
+    string hashing (``PYTHONHASHSEED``)."""
+    if isinstance(nodes, (set, frozenset)):
+        return [u for u in outcome if u in nodes]
+    return list(nodes)
 
 
 def _undecided(

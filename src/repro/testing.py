@@ -17,6 +17,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
+# Re-exported: the dict-tree EIG device is the differential oracle for
+# the compiled path space of ``repro.protocols.EIGDevice``.
+from .protocols.eig import ReferenceEIGDevice  # noqa: F401
 from .runtime.sync.device import FunctionDevice, SyncDevice
 
 

@@ -194,6 +194,24 @@ class TestOrbitKeys:
         assert self._key(index, inputs, a) != self._key(index, inputs, b)
 
 
+    def test_large_group_stops_enumerating_past_max_group(self):
+        """K8 has 8! = 40 320 automorphisms; the index stops after
+        ``max_group + 1`` of them instead of building the whole group."""
+        graph = complete_graph(8)
+        index = OrbitIndex(graph)
+        enumerations = [
+            result
+            for key, result in graph.analytics_cache().items()
+            if key[0] == "automorphism_group"
+        ]
+        assert enumerations
+        for group, exact in enumerations:
+            assert not exact
+            assert len(group) <= 5_000 + 1
+        assert index.group_order == 1
+        assert "|Aut|=1 (identity fallback)" in index.describe()
+
+
 class TestNameSensitivity:
     def test_plain_drop_is_name_free(self):
         plan = FaultPlan(link_faults=(_drop(("n0", "n1")),))
