@@ -21,10 +21,17 @@ Quickstart::
     devices = {u: MajorityVoteDevice() for u in g.nodes}
     witness = refute_node_bound(g, devices, max_faults=1, rounds=3)
     print(witness.describe())
+
+Every package namespace is lazy (see :mod:`repro._lazy`): importing
+``repro`` or a subpackage loads nothing else until a name is used.
 """
+
+from ._lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
-from . import core, graphs, problems, protocols, runtime  # noqa: F401
-
-__all__ = ["core", "graphs", "problems", "protocols", "runtime", "__version__"]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "core": None, "graphs": None, "problems": None, "protocols": None,
+    "runtime": None,
+})
+__all__ += ["__version__"]

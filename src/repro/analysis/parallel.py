@@ -38,8 +38,6 @@ Design notes
 
 from __future__ import annotations
 
-import logging
-import multiprocessing
 import os
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any, TypeVar
@@ -49,7 +47,13 @@ from .. import obs
 T = TypeVar("T")
 R = TypeVar("R")
 
-logger = logging.getLogger(__name__)
+
+def _logger():
+    # ``logging`` and ``multiprocessing`` load only on the ``jobs > 1``
+    # paths: serial runs (every default command) never import them.
+    import logging
+
+    return logging.getLogger(__name__)
 
 
 class ItemError(RuntimeError):
@@ -117,6 +121,8 @@ def _call_captured(item: Any) -> tuple[bool, tuple[Any, tuple], str | None]:
 
 def fork_available() -> bool:
     """True when the ``fork`` start method exists (Linux, most Unix)."""
+    import multiprocessing
+
     try:
         return "fork" in multiprocessing.get_all_start_methods()
     except Exception:  # pragma: no cover - exotic platforms
@@ -166,7 +172,7 @@ class ParallelRunner:
                 "a process pool would add overhead without concurrency"
             )
         if self.fallback_reason is not None and self.jobs > 1:
-            logger.info(
+            _logger().info(
                 "ParallelRunner falling back to serial: %s",
                 self.fallback_reason,
             )
@@ -234,7 +240,7 @@ class ParallelRunner:
         second failure raises :class:`ItemError`, preserving the
         worker's partial capsule for post-mortems.
         """
-        logger.warning(
+        _logger().warning(
             "worker failed on item #%d (%r): %s; re-executing serially",
             index, item, error,
         )
@@ -260,13 +266,15 @@ class ParallelRunner:
         captured = trampoline is _call_captured
         processes = min(self.jobs, len(work))
         try:
+            import multiprocessing
+
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(processes=processes) as pool:
                 obs.emit(obs.WORKER_POOL, processes=processes, items=len(work))
                 wrapped = pool.map(trampoline, work)
                 obs.emit(obs.WORKER_MERGE, items=len(wrapped))
         except (OSError, ValueError) as exc:  # pool could not be built
-            logger.info(
+            _logger().info(
                 "ParallelRunner falling back to serial: pool failed (%s)",
                 exc,
             )

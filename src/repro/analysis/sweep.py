@@ -179,6 +179,9 @@ def node_bound_sweep(
     store: Shard | None = None,
 ) -> list[SweepRow]:
     """Sweep ``n`` across ``3f + 1`` on complete graphs (TIGHT-N)."""
+    if any(f < 1 for f in max_faults_values):
+        # f = 0 would give an empty n-range and silently drop its rows.
+        raise ValueError("the fault bound f must be at least 1")
     points = [
         (f, n)
         for f in max_faults_values

@@ -56,45 +56,24 @@ import sys
 from collections.abc import Sequence
 
 from . import obs
-from .analysis import SWEEP_HEADERS, connectivity_sweep, format_table, node_bound_sweep
-from .core import (
-    SynchronizationSetting,
-    refute_connectivity,
-    refute_epsilon_delta,
-    refute_firing_squad,
-    refute_node_bound,
-    refute_weak_agreement,
-    refute_clock_sync,
-)
-from .graphs import (
-    CommunicationGraph,
-    GraphError,
-    circulant,
-    classify,
-    complete_graph,
-    diamond,
-    ring,
-    star,
-    triangle,
-    wheel,
-)
-from .problems import ByzantineAgreementSpec
-from .protocols import (
-    ExchangeOnceWeakDevice,
-    LowerEnvelopeClockDevice,
-    MajorityVoteDevice,
-    MedianDevice,
-    RelayFireDevice,
-    eig_devices,
-    sparse_agreement_devices,
-)
-from .runtime.sync import RandomLiarDevice
-from .runtime.sync import make_system, run
-from .runtime.timed import LinearClock
+from .graphs.graph import CommunicationGraph, GraphError
+
+# Each handler imports what it runs from the defining module, so a
+# command loads only its own closure (``--help`` loads none of it).
 
 
 def parse_graph(spec: str) -> CommunicationGraph:
     """Parse a graph spec like ``triangle`` or ``circulant:7:1,2``."""
+    from .graphs.builders import (
+        circulant,
+        complete_graph,
+        diamond,
+        ring,
+        star,
+        triangle,
+        wheel,
+    )
+
     parts = spec.split(":")
     name = parts[0]
     try:
@@ -119,6 +98,8 @@ def parse_graph(spec: str) -> CommunicationGraph:
 
 
 def _cmd_classify(args) -> int:
+    from .graphs.adequacy import classify
+
     graph = parse_graph(args.graph)
     print(classify(graph, args.faults).describe())
     return 0
@@ -126,14 +107,24 @@ def _cmd_classify(args) -> int:
 
 def _cmd_refute(args) -> int:
     if args.problem == "byzantine":
+        from .core.byzantine import refute_node_bound
+        from .protocols.naive import MajorityVoteDevice
+
         graph = parse_graph(args.graph)
         devices = {u: MajorityVoteDevice() for u in graph.nodes}
         witness = refute_node_bound(graph, devices, args.faults, args.rounds)
     elif args.problem == "connectivity":
+        from .core.byzantine import refute_connectivity
+        from .protocols.naive import MajorityVoteDevice
+
         graph = parse_graph(args.graph)
         devices = {u: MajorityVoteDevice() for u in graph.nodes}
         witness = refute_connectivity(graph, devices, args.faults, args.rounds)
     elif args.problem == "weak":
+        from .core.weak import refute_weak_agreement
+        from .graphs.builders import triangle
+        from .protocols.timed_naive import ExchangeOnceWeakDevice
+
         factories = {
             u: (lambda: ExchangeOnceWeakDevice(decide_at=2 * args.delta))
             for u in triangle().nodes
@@ -142,6 +133,10 @@ def _cmd_refute(args) -> int:
             factories, delta=args.delta, decision_deadline=3 * args.delta
         )
     elif args.problem == "firing":
+        from .core.firing_squad import refute_firing_squad
+        from .graphs.builders import triangle
+        from .protocols.timed_naive import RelayFireDevice
+
         factories = {
             u: (lambda: RelayFireDevice(fire_at=2.5 * args.delta))
             for u in triangle().nodes
@@ -150,6 +145,10 @@ def _cmd_refute(args) -> int:
             factories, delta=args.delta, fire_deadline=3 * args.delta
         )
     elif args.problem == "eps-delta":
+        from .core.approximate import refute_epsilon_delta
+        from .graphs.builders import triangle
+        from .protocols.naive import MedianDevice
+
         devices = {u: MedianDevice() for u in triangle().nodes}
         witness = refute_epsilon_delta(
             devices,
@@ -159,6 +158,11 @@ def _cmd_refute(args) -> int:
             rounds=args.rounds,
         )
     elif args.problem == "clock":
+        from .core.clock_sync import SynchronizationSetting, refute_clock_sync
+        from .graphs.builders import triangle
+        from .protocols.timed_naive import LowerEnvelopeClockDevice
+        from .runtime.timed.clocks import LinearClock
+
         lower = LinearClock(1.0, 0.0)
         setting = SynchronizationSetting(
             p=LinearClock(1.0, 0.0),
@@ -190,7 +194,13 @@ def _cmd_refute(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .analysis.sweep import sweep_store_key
+    from .analysis.sweep import (
+        SWEEP_HEADERS,
+        connectivity_sweep,
+        node_bound_sweep,
+        sweep_store_key,
+    )
+    from .analysis.tables import format_table
 
     shard = None
     if getattr(args, "checkpoint", None):
@@ -240,16 +250,26 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .problems.byzantine import ByzantineAgreementSpec
+    from .runtime.sync.adversary import RandomLiarDevice
+    from .runtime.sync.executor import run
+    from .runtime.sync.system import make_system
+
     graph = parse_graph(args.graph)
     f = args.faults
     if args.protocol == "eig":
+        from .protocols.eig import eig_devices
+
         devices = dict(eig_devices(graph, f))
         rounds = f + 1
     else:
+        from .protocols.sparse_agreement import sparse_agreement_devices
+
         devices, rounds = sparse_agreement_devices(graph, f)
         devices = dict(devices)
     nodes = list(graph.nodes)
-    for i, node in enumerate(nodes[-f:]):
+    # The last f nodes lie; ``nodes[-f:]`` would be every node at f = 0.
+    for i, node in enumerate(nodes[len(nodes) - f:]):
         devices[node] = RandomLiarDevice(seed=args.seed + i)
     inputs = {u: i % 2 for i, u in enumerate(nodes)}
     behavior = run(make_system(graph, devices, inputs), rounds)
@@ -267,11 +287,15 @@ def _cmd_demo(args) -> int:
 def _campaign_factory(protocol: str, faults: int):
     """(device_factory, default_rounds) for a campaign/attack protocol."""
     if protocol == "naive":
+        from .protocols.naive import MajorityVoteDevice
+
         return (
             lambda graph: {u: MajorityVoteDevice() for u in graph.nodes},
             2,
         )
     if protocol == "eig":
+        from .protocols.eig import eig_devices
+
         return (lambda graph: eig_devices(graph, faults), faults + 1)
     raise GraphError(f"unknown protocol {protocol!r}")
 

@@ -8,110 +8,42 @@ behaviors of the graph, at least one of which violates the problem's
 correctness conditions.
 """
 
-from .approximate import (
-    refute_epsilon_delta,
-    refute_epsilon_delta_connectivity,
-    refute_simple_connectivity,
-    refute_simple_node_bound,
-    ring_size_for_epsilon_delta,
-)
-from .byzantine import refute_connectivity, refute_node_bound
-from .clock_sync import (
-    SynchronizationSetting,
-    choose_k,
-    refute_clock_sync,
-)
-from .corollaries import (
-    CorollaryOutcome,
-    corollary_12_linear_envelope,
-    corollary_13_diverging_linear,
-    corollary_14_offset_clocks,
-    corollary_15_logarithmic,
-)
-from .covering_argument import (
-    ChainLink,
-    ChainResult,
-    ConstructedBehavior,
-    CoveringArgumentError,
-    build_base_behavior,
-    connectivity_scenarios,
-    node_bound_scenarios,
-    run_scenario_chain,
-    shared_links,
-)
-from .general import collapse_to_triangle, refute_epsilon_delta_general
-from .nondeterminism import SeededOracle, refute_nondeterministic
-from .axioms import (
-    AxiomViolation,
-    check_bounded_delay_locality,
-    check_fault_axiom,
-    check_locality_axiom,
-    check_scaling_axiom,
-)
-from .firing_squad import fire_time_profile, refute_firing_squad
-from .timed_connectivity import (
-    refute_clock_sync_connectivity,
-    refute_firing_squad_connectivity,
-    refute_weak_agreement_connectivity,
-)
-from .timed_argument import (
-    TimedArgumentError,
-    TimedConstructedBehavior,
-    build_base_behavior_timed,
-)
-from .weak import agreement_frontier, refute_weak_agreement, ring_parameter
-from .witness import (
-    CheckedBehavior,
-    ImpossibilityWitness,
-    NoViolationFound,
-)
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "CorollaryOutcome",
-    "SynchronizationSetting",
-    "TimedArgumentError",
-    "TimedConstructedBehavior",
-    "agreement_frontier",
-    "build_base_behavior_timed",
-    "choose_k",
-    "corollary_12_linear_envelope",
-    "corollary_13_diverging_linear",
-    "corollary_14_offset_clocks",
-    "corollary_15_logarithmic",
-    "fire_time_profile",
-    "AxiomViolation",
-    "SeededOracle",
-    "check_bounded_delay_locality",
-    "check_fault_axiom",
-    "check_locality_axiom",
-    "check_scaling_axiom",
-    "collapse_to_triangle",
-    "refute_epsilon_delta_general",
-    "refute_clock_sync",
-    "refute_nondeterministic",
-    "refute_firing_squad",
-    "refute_clock_sync_connectivity",
-    "refute_epsilon_delta_connectivity",
-    "refute_firing_squad_connectivity",
-    "refute_weak_agreement_connectivity",
-    "refute_weak_agreement",
-    "ring_parameter",
-    "ChainLink",
-    "ChainResult",
-    "CheckedBehavior",
-    "ConstructedBehavior",
-    "CoveringArgumentError",
-    "ImpossibilityWitness",
-    "NoViolationFound",
-    "build_base_behavior",
-    "connectivity_scenarios",
-    "node_bound_scenarios",
-    "refute_connectivity",
-    "refute_epsilon_delta",
-    "refute_node_bound",
-    "refute_simple_connectivity",
-    "refute_simple_node_bound",
-    "ring_size_for_epsilon_delta",
-    "run_scenario_chain",
-    "shared_links",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "approximate": (
+        "refute_epsilon_delta", "refute_epsilon_delta_connectivity",
+        "refute_simple_connectivity", "refute_simple_node_bound",
+        "ring_size_for_epsilon_delta",
+    ),
+    "byzantine": ("refute_connectivity", "refute_node_bound"),
+    "clock_sync": ("SynchronizationSetting", "choose_k", "refute_clock_sync"),
+    "corollaries": (
+        "CorollaryOutcome", "corollary_12_linear_envelope",
+        "corollary_13_diverging_linear", "corollary_14_offset_clocks",
+        "corollary_15_logarithmic",
+    ),
+    "covering_argument": (
+        "ChainLink", "ChainResult", "ConstructedBehavior",
+        "CoveringArgumentError", "build_base_behavior",
+        "connectivity_scenarios", "node_bound_scenarios",
+        "run_scenario_chain", "shared_links",
+    ),
+    "general": ("collapse_to_triangle", "refute_epsilon_delta_general"),
+    "nondeterminism": ("SeededOracle", "refute_nondeterministic"),
+    "axioms": (
+        "AxiomViolation", "check_bounded_delay_locality", "check_fault_axiom",
+        "check_locality_axiom", "check_scaling_axiom",
+    ),
+    "firing_squad": ("fire_time_profile", "refute_firing_squad"),
+    "timed_connectivity": (
+        "refute_clock_sync_connectivity", "refute_firing_squad_connectivity",
+        "refute_weak_agreement_connectivity",
+    ),
+    "timed_argument": (
+        "TimedArgumentError", "TimedConstructedBehavior",
+        "build_base_behavior_timed",
+    ),
+    "weak": ("agreement_frontier", "refute_weak_agreement", "ring_parameter"),
+    "witness": ("CheckedBehavior", "ImpossibilityWitness", "NoViolationFound"),
+})

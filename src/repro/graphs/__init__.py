@@ -1,121 +1,35 @@
 """Communication graphs, connectivity, coverings, and adequacy
 (Section 2 of FLM 1985)."""
 
-from .automorphisms import (
-    OrbitIndex,
-    apply_automorphism,
-    automorphism_count,
-    automorphism_group,
-    node_orbits,
-    scenario_is_name_sensitive,
-)
-from .adequacy import (
-    AdequacyReport,
-    classify,
-    is_adequate,
-    is_inadequate,
-    max_tolerable_faults,
-    required_connectivity,
-    required_nodes,
-)
-from .builders import (
-    butterfly_network,
-    cheapest_adequate_graph,
-    harary_graph,
-    circulant,
-    complete_bipartite,
-    complete_graph,
-    diamond,
-    line,
-    random_connected_graph,
-    ring,
-    star,
-    triangle,
-    wheel,
-)
-from .connectivity import (
-    analytics_stats,
-    clear_analytics,
-    global_min_cut,
-    local_connectivity,
-    min_vertex_cut,
-    node_connectivity,
-    vertex_disjoint_paths,
-)
-from .coverings import (
-    CyclicCover,
-    connectivity_cyclic_cover,
-    cyclic_cover,
-    CoveringError,
-    CoveringMap,
-    DoubleCover,
-    connectivity_double_cover,
-    cut_partition_for_connectivity,
-    double_cover,
-    hexagon_cover_of_triangle,
-    is_covering,
-    node_bound_double_cover,
-    partition_for_node_bound,
-    ring_cover_of_triangle,
-    verify_covering,
-)
-from .graph import CommunicationGraph, DirectedEdge, GraphError, NodeId
-from .isomorphism import find_isomorphism, is_isomorphic, verify_isomorphism
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "AdequacyReport",
-    "CommunicationGraph",
-    "OrbitIndex",
-    "analytics_stats",
-    "apply_automorphism",
-    "automorphism_count",
-    "automorphism_group",
-    "clear_analytics",
-    "node_orbits",
-    "scenario_is_name_sensitive",
-    "CoveringError",
-    "CoveringMap",
-    "CyclicCover",
-    "DirectedEdge",
-    "DoubleCover",
-    "GraphError",
-    "NodeId",
-    "butterfly_network",
-    "cheapest_adequate_graph",
-    "harary_graph",
-    "circulant",
-    "classify",
-    "complete_bipartite",
-    "complete_graph",
-    "connectivity_cyclic_cover",
-    "connectivity_double_cover",
-    "cyclic_cover",
-    "cut_partition_for_connectivity",
-    "diamond",
-    "double_cover",
-    "find_isomorphism",
-    "is_isomorphic",
-    "verify_isomorphism",
-    "global_min_cut",
-    "hexagon_cover_of_triangle",
-    "is_adequate",
-    "is_covering",
-    "is_inadequate",
-    "line",
-    "local_connectivity",
-    "max_tolerable_faults",
-    "min_vertex_cut",
-    "node_bound_double_cover",
-    "node_connectivity",
-    "partition_for_node_bound",
-    "random_connected_graph",
-    "required_connectivity",
-    "required_nodes",
-    "ring",
-    "ring_cover_of_triangle",
-    "star",
-    "triangle",
-    "verify_covering",
-    "vertex_disjoint_paths",
-    "wheel",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "automorphisms": (
+        "OrbitIndex", "apply_automorphism", "automorphism_count",
+        "automorphism_group", "node_orbits", "scenario_is_name_sensitive",
+    ),
+    "adequacy": (
+        "AdequacyReport", "classify", "is_adequate", "is_inadequate",
+        "max_tolerable_faults", "required_connectivity", "required_nodes",
+    ),
+    "builders": (
+        "butterfly_network", "cheapest_adequate_graph", "harary_graph",
+        "circulant", "complete_bipartite", "complete_graph", "diamond", "line",
+        "random_connected_graph", "ring", "star", "triangle", "wheel",
+    ),
+    "connectivity": (
+        "analytics_stats", "clear_analytics", "global_min_cut",
+        "local_connectivity", "min_vertex_cut", "node_connectivity",
+        "vertex_disjoint_paths",
+    ),
+    "coverings": (
+        "CyclicCover", "connectivity_cyclic_cover", "cyclic_cover",
+        "CoveringError", "CoveringMap", "DoubleCover",
+        "connectivity_double_cover", "cut_partition_for_connectivity",
+        "double_cover", "hexagon_cover_of_triangle", "is_covering",
+        "node_bound_double_cover", "partition_for_node_bound",
+        "ring_cover_of_triangle", "verify_covering",
+    ),
+    "graph": ("CommunicationGraph", "DirectedEdge", "GraphError", "NodeId"),
+    "isomorphism": ("find_isomorphism", "is_isomorphic", "verify_isomorphism"),
+})

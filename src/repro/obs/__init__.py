@@ -16,129 +16,29 @@ Telemetry is off by default; when off, every entry point above is a
 cheap no-op, so call sites instrument unconditionally.
 """
 
-from .events import (
-    ATTEMPT_END,
-    ATTEMPT_START,
-    CACHE_HIT,
-    CACHE_MISS,
-    CHECKPOINT_REUSE,
-    CHECKPOINT_WRITE,
-    Capsule,
-    Event,
-    EventLog,
-    FAULT_INJECTION,
-    FRONTIER_LEVEL,
-    HOST_KINDS,
-    MESSAGE_DELIVERY,
-    ORBIT_REUSE,
-    ROUND_END,
-    ROUND_START,
-    RUN_KINDS,
-    SHRINK_STEP,
-    SPAN_END,
-    SPAN_START,
-    SWEEP_POINT,
-    TIMED_EVENT,
-    TRIE_REPLAY,
-    WORKER_MERGE,
-    WORKER_POOL,
-    WORKER_RETRY,
-    capture,
-    disable,
-    emit,
-    enable,
-    get_log,
-    get_registry,
-    get_tracer,
-    is_enabled,
-    observe_span,
-    replay,
-    reset,
-)
-from .export import (
-    TRACE_FORMAT,
-    format_events,
-    format_metrics,
-    read_trace,
-    registry_from_trace,
-    render_live_summary,
-    summarize_trace,
-    trace_lines,
-    write_trace,
-)
-from .metrics import (
-    MetricsRegistry,
-    absorb_cache_stats,
-    absorb_connectivity_stats,
-    absorb_incremental_stats,
-    absorb_orbit_stats,
-    absorb_search_stats,
-    describe_cache,
-    describe_incremental,
-    describe_orbit,
-    describe_search_stats,
-    metric_key,
-)
-from .tracer import SpanAggregate, Tracer
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "ATTEMPT_END",
-    "ATTEMPT_START",
-    "CACHE_HIT",
-    "CACHE_MISS",
-    "CHECKPOINT_REUSE",
-    "CHECKPOINT_WRITE",
-    "Capsule",
-    "Event",
-    "EventLog",
-    "FAULT_INJECTION",
-    "FRONTIER_LEVEL",
-    "HOST_KINDS",
-    "MESSAGE_DELIVERY",
-    "MetricsRegistry",
-    "ORBIT_REUSE",
-    "ROUND_END",
-    "ROUND_START",
-    "RUN_KINDS",
-    "SHRINK_STEP",
-    "SPAN_END",
-    "SPAN_START",
-    "SWEEP_POINT",
-    "SpanAggregate",
-    "TIMED_EVENT",
-    "TRACE_FORMAT",
-    "TRIE_REPLAY",
-    "Tracer",
-    "WORKER_MERGE",
-    "WORKER_POOL",
-    "WORKER_RETRY",
-    "absorb_cache_stats",
-    "absorb_connectivity_stats",
-    "absorb_incremental_stats",
-    "absorb_orbit_stats",
-    "absorb_search_stats",
-    "capture",
-    "describe_cache",
-    "describe_incremental",
-    "describe_orbit",
-    "describe_search_stats",
-    "disable",
-    "emit",
-    "enable",
-    "format_events",
-    "format_metrics",
-    "get_log",
-    "get_registry",
-    "get_tracer",
-    "is_enabled",
-    "metric_key",
-    "observe_span",
-    "read_trace",
-    "registry_from_trace",
-    "render_live_summary",
-    "replay",
-    "reset",
-    "summarize_trace",
-    "trace_lines",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "events": (
+        "ATTEMPT_END", "ATTEMPT_START", "CACHE_HIT", "CACHE_MISS",
+        "CHECKPOINT_REUSE", "CHECKPOINT_WRITE", "Capsule", "Event", "EventLog",
+        "FAULT_INJECTION", "FRONTIER_LEVEL", "HOST_KINDS", "MESSAGE_DELIVERY",
+        "ORBIT_REUSE", "ROUND_END", "ROUND_START", "RUN_KINDS", "SHRINK_STEP",
+        "SPAN_END", "SPAN_START", "SWEEP_POINT", "TIMED_EVENT", "TRIE_REPLAY",
+        "WORKER_MERGE", "WORKER_POOL", "WORKER_RETRY", "capture", "disable",
+        "emit", "enable", "get_log", "get_registry", "get_tracer",
+        "is_enabled", "observe_span", "replay", "reset",
+    ),
+    "export": (
+        "TRACE_FORMAT", "format_events", "format_metrics", "read_trace",
+        "registry_from_trace", "render_live_summary", "summarize_trace",
+        "trace_lines", "write_trace",
+    ),
+    "metrics": (
+        "MetricsRegistry", "absorb_cache_stats", "absorb_connectivity_stats",
+        "absorb_incremental_stats", "absorb_orbit_stats",
+        "absorb_search_stats", "describe_cache", "describe_incremental",
+        "describe_orbit", "describe_search_stats", "metric_key",
+    ),
+    "tracer": ("SpanAggregate", "Tracer"),
+})

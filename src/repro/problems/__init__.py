@@ -1,25 +1,14 @@
 """Executable specifications of the paper's five consensus problems."""
 
-from .approximate import EpsilonDeltaGammaSpec, SimpleApproximateAgreementSpec
-from .byzantine import (
-    ByzantineAgreementSpec,
-    WeakAgreementSpec,
-    check_agreement,
-    check_termination,
-)
-from .clock_sync import ClockSyncSpec
-from .firing_squad import FiringSquadSpec
-from .spec import SpecVerdict, Violation
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "ByzantineAgreementSpec",
-    "ClockSyncSpec",
-    "EpsilonDeltaGammaSpec",
-    "FiringSquadSpec",
-    "SimpleApproximateAgreementSpec",
-    "SpecVerdict",
-    "Violation",
-    "WeakAgreementSpec",
-    "check_agreement",
-    "check_termination",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "approximate": ("EpsilonDeltaGammaSpec", "SimpleApproximateAgreementSpec"),
+    "byzantine": (
+        "ByzantineAgreementSpec", "WeakAgreementSpec", "check_agreement",
+        "check_termination",
+    ),
+    "clock_sync": ("ClockSyncSpec",),
+    "firing_squad": ("FiringSquadSpec",),
+    "spec": ("SpecVerdict", "Violation"),
+})

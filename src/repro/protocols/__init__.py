@@ -19,112 +19,46 @@ the classical algorithms that match the bounds on adequate graphs:
   squad from Byzantine agreement.
 """
 
-from .approx_dlpsw import IteratedTrimmedMeanDevice, dlpsw_devices, trimmed_mean
-from .authenticated import (
-    AuthenticatedConsensusDevice,
-    DolevStrongBroadcastDevice,
-    authenticated_consensus_devices,
-    sign,
-    signed_core,
-    signer_chain,
-)
-from .clock_sync_avg import (
-    AveragingSyncDevice,
-    ByzantineClockDevice,
-    OffsetEnvelope,
-    max_logical_skew,
-)
-from .crash_consensus import FloodSetDevice, floodset_devices
-from .dolev_relay import RelayNodeDevice, relay_devices, transmission_rounds
-from .eig import EIGDevice, eig_devices
-from .gradecast import GradecastDevice, gradecast_devices
-from .inexact_ms import (
-    InexactAgreementDevice,
-    fault_tolerant_midpoint,
-    inexact_devices,
-    rounds_for_target,
-)
-from .naive import (
-    EchoInputDevice,
-    FloodValueDevice,
-    MajorityVoteDevice,
-    MedianDevice,
-    MidpointDevice,
-    MinimumDevice,
-)
-from .phase_king import PhaseKingDevice, phase_king_devices
-from .sparse_agreement import (
-    RelayedAgreementDevice,
-    build_routing,
-    sparse_agreement_devices,
-)
-from .reliable_broadcast import (
-    ReliableBroadcastDevice,
-    reliable_broadcast_devices,
-)
-from .reductions import (
-    FiringSquadFromAgreementDevice,
-    fire_round_of,
-    firing_squad_devices,
-    weak_agreement_devices,
-)
-from .timed_naive import (
-    AlarmWeakDevice,
-    CountdownFireDevice,
-    ExchangeMidpointClockDevice,
-    ExchangeOnceWeakDevice,
-    LowerEnvelopeClockDevice,
-    RelayFireDevice,
-)
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "AlarmWeakDevice",
-    "AuthenticatedConsensusDevice",
-    "AveragingSyncDevice",
-    "ByzantineClockDevice",
-    "CountdownFireDevice",
-    "DolevStrongBroadcastDevice",
-    "EIGDevice",
-    "EchoInputDevice",
-    "ExchangeMidpointClockDevice",
-    "ExchangeOnceWeakDevice",
-    "FiringSquadFromAgreementDevice",
-    "FloodSetDevice",
-    "FloodValueDevice",
-    "floodset_devices",
-    "GradecastDevice",
-    "gradecast_devices",
-    "InexactAgreementDevice",
-    "IteratedTrimmedMeanDevice",
-    "LowerEnvelopeClockDevice",
-    "MajorityVoteDevice",
-    "MedianDevice",
-    "MidpointDevice",
-    "MinimumDevice",
-    "OffsetEnvelope",
-    "PhaseKingDevice",
-    "RelayFireDevice",
-    "RelayNodeDevice",
-    "RelayedAgreementDevice",
-    "ReliableBroadcastDevice",
-    "reliable_broadcast_devices",
-    "authenticated_consensus_devices",
-    "dlpsw_devices",
-    "eig_devices",
-    "fault_tolerant_midpoint",
-    "fire_round_of",
-    "firing_squad_devices",
-    "inexact_devices",
-    "max_logical_skew",
-    "phase_king_devices",
-    "relay_devices",
-    "rounds_for_target",
-    "sparse_agreement_devices",
-    "build_routing",
-    "sign",
-    "signed_core",
-    "signer_chain",
-    "transmission_rounds",
-    "trimmed_mean",
-    "weak_agreement_devices",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "approx_dlpsw": (
+        "IteratedTrimmedMeanDevice", "dlpsw_devices", "trimmed_mean",
+    ),
+    "authenticated": (
+        "AuthenticatedConsensusDevice", "DolevStrongBroadcastDevice",
+        "authenticated_consensus_devices", "sign", "signed_core",
+        "signer_chain",
+    ),
+    "clock_sync_avg": (
+        "AveragingSyncDevice", "ByzantineClockDevice", "OffsetEnvelope",
+        "max_logical_skew",
+    ),
+    "crash_consensus": ("FloodSetDevice", "floodset_devices"),
+    "dolev_relay": ("RelayNodeDevice", "relay_devices", "transmission_rounds"),
+    "eig": ("EIGDevice", "eig_devices"),
+    "gradecast": ("GradecastDevice", "gradecast_devices"),
+    "inexact_ms": (
+        "InexactAgreementDevice", "fault_tolerant_midpoint", "inexact_devices",
+        "rounds_for_target",
+    ),
+    "naive": (
+        "EchoInputDevice", "FloodValueDevice", "MajorityVoteDevice",
+        "MedianDevice", "MidpointDevice", "MinimumDevice",
+    ),
+    "phase_king": ("PhaseKingDevice", "phase_king_devices"),
+    "sparse_agreement": (
+        "RelayedAgreementDevice", "build_routing", "sparse_agreement_devices",
+    ),
+    "reliable_broadcast": (
+        "ReliableBroadcastDevice", "reliable_broadcast_devices",
+    ),
+    "reductions": (
+        "FiringSquadFromAgreementDevice", "fire_round_of",
+        "firing_squad_devices", "weak_agreement_devices",
+    ),
+    "timed_naive": (
+        "AlarmWeakDevice", "CountdownFireDevice", "ExchangeMidpointClockDevice",
+        "ExchangeOnceWeakDevice", "LowerEnvelopeClockDevice", "RelayFireDevice",
+    ),
+})

@@ -29,58 +29,18 @@
     rounds replay that prefix as a lookup instead of re-executing it.
 """
 
-from .faults import (
-    FAULT_KINDS,
-    FaultPlan,
-    InjectionRecord,
-    InjectionTrace,
-    LinkFault,
-    Partition,
-    SyncFaultInjector,
-    TimedFaultInjector,
-    partition_between,
-)
-from .incremental import (
-    ExecutionTrie,
-    IncrementalContext,
-    plan_signatures,
-)
-from .memo import (
-    BehaviorCache,
-    behavior_cache_of,
-    fingerprint,
-    graph_fingerprint,
-    memoized_run,
-    plan_fingerprint,
-)
-from .plan import (
-    SyncPlan,
-    TimedPlan,
-    compile_sync_plan,
-    compile_timed_plan,
-)
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "FAULT_KINDS",
-    "BehaviorCache",
-    "ExecutionTrie",
-    "FaultPlan",
-    "IncrementalContext",
-    "InjectionRecord",
-    "InjectionTrace",
-    "LinkFault",
-    "Partition",
-    "SyncFaultInjector",
-    "SyncPlan",
-    "TimedFaultInjector",
-    "TimedPlan",
-    "behavior_cache_of",
-    "compile_sync_plan",
-    "compile_timed_plan",
-    "fingerprint",
-    "graph_fingerprint",
-    "memoized_run",
-    "partition_between",
-    "plan_fingerprint",
-    "plan_signatures",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "faults": (
+        "FAULT_KINDS", "FaultPlan", "InjectionRecord", "InjectionTrace",
+        "LinkFault", "Partition", "SyncFaultInjector", "TimedFaultInjector",
+        "partition_between",
+    ),
+    "incremental": ("ExecutionTrie", "IncrementalContext", "plan_signatures"),
+    "memo": (
+        "BehaviorCache", "behavior_cache_of", "fingerprint",
+        "graph_fingerprint", "memoized_run", "plan_fingerprint",
+    ),
+    "plan": ("SyncPlan", "TimedPlan", "compile_sync_plan", "compile_timed_plan"),
+})

@@ -1,68 +1,25 @@
 """The synchronous round model: devices, systems, executor, behaviors,
 and Byzantine adversaries (including the Fault-axiom replay device)."""
 
-from .adversary import (
-    CrashDevice,
-    DelayedEchoDevice,
-    RandomLiarDevice,
-    ReplayDevice,
-    SilentDevice,
-    TwoFacedDevice,
-)
-from .collapse import (
-    GroupDevice,
-    PortRenamedDevice,
-    collapse_system,
-    verify_collapse,
-)
-from .behavior import EdgeBehavior, NodeBehavior, Scenario, SyncBehavior
-from .device import (
-    FunctionDevice,
-    Message,
-    NodeContext,
-    PortLabel,
-    State,
-    SyncDevice,
-)
-from .executor import ExecutionError, check_determinism, execute_plan, run
-from .system import (
-    NodeAssignment,
-    SyncSystem,
-    identity_ports,
-    install_in_covering,
-    make_system,
-    uniform_system,
-)
+from ..._lazy import lazy_namespace
 
-__all__ = [
-    "CrashDevice",
-    "GroupDevice",
-    "PortRenamedDevice",
-    "collapse_system",
-    "verify_collapse",
-    "DelayedEchoDevice",
-    "EdgeBehavior",
-    "ExecutionError",
-    "FunctionDevice",
-    "Message",
-    "NodeAssignment",
-    "NodeBehavior",
-    "NodeContext",
-    "PortLabel",
-    "RandomLiarDevice",
-    "ReplayDevice",
-    "Scenario",
-    "SilentDevice",
-    "State",
-    "SyncBehavior",
-    "SyncDevice",
-    "SyncSystem",
-    "TwoFacedDevice",
-    "check_determinism",
-    "execute_plan",
-    "identity_ports",
-    "install_in_covering",
-    "make_system",
-    "run",
-    "uniform_system",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "adversary": (
+        "CrashDevice", "DelayedEchoDevice", "RandomLiarDevice",
+        "ReplayDevice", "SilentDevice", "TwoFacedDevice",
+    ),
+    "collapse": (
+        "GroupDevice", "PortRenamedDevice", "collapse_system",
+        "verify_collapse",
+    ),
+    "behavior": ("EdgeBehavior", "NodeBehavior", "Scenario", "SyncBehavior"),
+    "device": (
+        "FunctionDevice", "Message", "NodeContext", "PortLabel", "State",
+        "SyncDevice",
+    ),
+    "executor": ("ExecutionError", "check_determinism", "execute_plan", "run"),
+    "system": (
+        "NodeAssignment", "SyncSystem", "identity_ports",
+        "install_in_covering", "make_system", "uniform_system",
+    ),
+})

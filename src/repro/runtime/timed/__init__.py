@@ -1,67 +1,25 @@
 """The continuous-time model: hardware clocks, δ-delay messaging, and
 the Bounded-Delay Locality / Scaling axioms."""
 
-from .adversary import TimedCrashDevice, TimedReplayDevice, TimedSilentDevice
-from .behavior import (
-    TimedBehavior,
-    TimedEdgeBehavior,
-    TimedEvent,
-    TimedNodeBehavior,
-    events_equal,
-)
-from .clocks import (
-    ClockError,
-    ClockFunction,
-    ComposedClock,
-    LinearClock,
-    PowerClock,
-    compose,
-    drift_map,
-    identity,
-    verify_clock_order,
-)
-from .device import (
-    DeviceApi,
-    DeviceFactory,
-    LogicalClockFn,
-    TimedContext,
-    TimedDevice,
-)
-from .executor import TimedExecutionError, run_timed
-from .system import (
-    TimedNodeAssignment,
-    TimedSystem,
-    install_in_covering_timed,
-    make_timed_system,
-)
+from ..._lazy import lazy_namespace
 
-__all__ = [
-    "ClockError",
-    "ClockFunction",
-    "ComposedClock",
-    "DeviceApi",
-    "DeviceFactory",
-    "LinearClock",
-    "LogicalClockFn",
-    "PowerClock",
-    "TimedBehavior",
-    "TimedContext",
-    "TimedCrashDevice",
-    "TimedDevice",
-    "TimedEdgeBehavior",
-    "TimedEvent",
-    "TimedExecutionError",
-    "TimedNodeAssignment",
-    "TimedNodeBehavior",
-    "TimedReplayDevice",
-    "TimedSilentDevice",
-    "TimedSystem",
-    "compose",
-    "drift_map",
-    "events_equal",
-    "identity",
-    "install_in_covering_timed",
-    "make_timed_system",
-    "run_timed",
-    "verify_clock_order",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    "adversary": ("TimedCrashDevice", "TimedReplayDevice", "TimedSilentDevice"),
+    "behavior": (
+        "TimedBehavior", "TimedEdgeBehavior", "TimedEvent", "TimedNodeBehavior",
+        "events_equal",
+    ),
+    "clocks": (
+        "ClockError", "ClockFunction", "ComposedClock", "LinearClock",
+        "PowerClock", "compose", "drift_map", "identity", "verify_clock_order",
+    ),
+    "device": (
+        "DeviceApi", "DeviceFactory", "LogicalClockFn", "TimedContext",
+        "TimedDevice",
+    ),
+    "executor": ("TimedExecutionError", "run_timed"),
+    "system": (
+        "TimedNodeAssignment", "TimedSystem", "install_in_covering_timed",
+        "make_timed_system",
+    ),
+})

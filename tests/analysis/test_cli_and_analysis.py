@@ -101,6 +101,18 @@ class TestCLI:
         assert main(["demo", "eig", "--graph", "complete:4"]) == 0
         assert "all conditions satisfied" in capsys.readouterr().out
 
+    def test_demo_without_faults_has_no_liars(self, capsys):
+        # f = 0: no node lies, so every node decides.
+        code = main(["demo", "eig", "--graph", "complete:4", "--faults", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "all conditions satisfied" in out
+        decisions = next(
+            line for line in out.splitlines() if line.startswith("decisions:")
+        )
+        assert "None" not in decisions
+        assert decisions.count(":") == 1 + 4
+
     def test_demo_sparse_command(self, capsys):
         code = main(
             ["demo", "sparse", "--graph", "circulant:7:1,2", "--faults", "1"]
@@ -111,6 +123,17 @@ class TestCLI:
         assert main(["sweep", "nodes", "--faults", "1"]) == 0
         out = capsys.readouterr().out
         assert "IMPOSSIBLE" in out and "SOLVED" in out
+
+    def test_sweep_nodes_rejects_zero_faults(self, capsys):
+        # f = 0 has no n-range below 3f + 1; it must fail, not print
+        # a table with its rows missing.
+        for faults in (["0"], ["1", "0"]):
+            assert main(["sweep", "nodes", "--faults", *faults]) == 2
+            captured = capsys.readouterr()
+            assert "f must be at least 1" in captured.err
+            assert captured.out == ""
+        with pytest.raises(ValueError):
+            node_bound_sweep((0,))
 
     def test_error_exit_code(self, capsys):
         assert main(["classify", "--graph", "nope"]) == 2
