@@ -20,6 +20,11 @@ each layer is output-invisible:
                       (``incremental=IncrementalContext()``) vs the
                       same passes re-executing every round; identical
                       reports required.
+* ``frontier``      — the naive degradation frontier the CLI runs with
+                      ``campaign --frontier --incremental --orbit-dedup``
+                      (K8, or K5 with ``--smoke``) vs the same sweep
+                      with neither; identical rows, examples and
+                      first-break summary required.
 * ``parallel``      — ``run_campaign(jobs=N)`` vs serial, byte-identical
                       sorted-JSON reports required.  Wall-clock scaling
                       is recorded honestly along with the machine's
@@ -294,6 +299,74 @@ def bench_incremental_shrink(smoke):
         "speedup": t_cold / t_warm if t_warm else None,
         "identical_output": cold_runs == warm_runs,
         "trie": context.stats(),
+    }
+
+
+def _frontier_json(frontier):
+    from repro.analysis.campaign import counterexample_to_dict
+
+    return json.dumps(
+        {
+            "rows": [
+                [
+                    row.as_tuple(),
+                    row.example and counterexample_to_dict(row.example),
+                ]
+                for row in frontier.rows
+            ],
+            "first_break": frontier.first_break,
+        },
+        sort_keys=True,
+        default=repr,
+    )
+
+
+def bench_frontier(smoke):
+    """A naive degradation frontier, trie + orbit dedup vs neither.
+
+    The shape of ``repro campaign --protocol naive --graph complete:8
+    --links 8 --rounds 10 --attempts 120 --frontier`` (default link
+    kinds, seed 0), run in-process with ``incremental=True,
+    orbit_dedup=True`` and with neither; the two sweeps must agree on
+    every row, example and first-break budget.  Legs are timed
+    interleaved, best-of."""
+    from repro.analysis.campaign import degradation_frontier
+
+    n, rounds, attempts = (5, 4, 20) if smoke else (8, 10, 120)
+    repeats = 1 if smoke else 3
+    config = CampaignConfig(
+        graph=complete_graph(n),
+        device_factory=_naive_factory,
+        rounds=rounds,
+        max_node_faults=0,
+        max_link_faults=n,
+        attempts=attempts,
+        seed=0,
+    )
+    legs = {
+        "plain": {},
+        "optimized": {"incremental": True, "orbit_dedup": True},
+    }
+    best = dict.fromkeys(legs, float("inf"))
+    reports = {}
+    for _ in range(repeats):
+        for leg, options in legs.items():
+            start = time.perf_counter()
+            reports[leg] = _frontier_json(
+                degradation_frontier(config, **options)
+            )
+            best[leg] = min(best[leg], time.perf_counter() - start)
+    return {
+        "workload": (
+            f"naive frontier on K{n}, links 0..{n}, {rounds} rounds, "
+            f"{attempts} attempts per level"
+        ),
+        "plain_s": best["plain"],
+        "optimized_s": best["optimized"],
+        "speedup": (
+            best["plain"] / best["optimized"] if best["optimized"] else None
+        ),
+        "identical_output": reports["plain"] == reports["optimized"],
     }
 
 
@@ -594,6 +667,7 @@ BENCHES = {
     "campaign_shrink": bench_campaign_shrink,
     "orbit_dedup": bench_orbit_dedup,
     "incremental_shrink": bench_incremental_shrink,
+    "frontier": bench_frontier,
     "sweep": bench_sweep,
     "eig_kernel": bench_eig_kernel,
     "parallel": bench_parallel,

@@ -128,6 +128,8 @@ class CampaignConfig:
         for name in ("max_node_faults", "max_link_faults", "attempts"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.rounds < 1:
+            raise ValueError("rounds must be at least 1")
 
 
 @dataclass(frozen=True)

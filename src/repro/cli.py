@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--graph", default="triangle")
     p.add_argument("--faults", type=int, default=1)
-    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--rounds", type=_at_least(0), default=3)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--delta-input", type=float, default=1.0)
@@ -621,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=["naive", "eig"], default="naive")
     p.add_argument("--graph", default="complete:4")
     p.add_argument("--faults", type=int, default=1)
-    p.add_argument("--rounds", type=int, default=None)
+    p.add_argument("--rounds", type=_at_least(1), default=None)
     p.add_argument("--attempts", type=int, default=200)
     p.add_argument(
         "--jobs", type=int, default=None,
@@ -649,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--links", type=int, default=2, help="max faulty links (k)"
     )
-    p.add_argument("--rounds", type=int, default=None)
+    p.add_argument("--rounds", type=_at_least(1), default=None)
     p.add_argument("--attempts", type=int, default=100)
     p.add_argument(
         "--kinds",
@@ -728,6 +728,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_profile)
 
     return parser
+
+
+def _at_least(low: int):
+    """An argparse ``type`` for integers ``>= low``: anything else is a
+    usage error (exit 2), caught before any engine runs."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def _add_checkpoint_flag(p: argparse.ArgumentParser, items: str) -> None:

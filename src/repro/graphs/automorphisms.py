@@ -17,9 +17,10 @@ Two layers:
   equitable-partition refinement (1-WL color refinement) followed by
   class-respecting backtracking.  Exact for the ≤20-node graphs used
   here; a ``limit`` caps enumeration on pathologically symmetric inputs
-  (``K_20`` has ``20!`` automorphisms), in which case the group is
-  reported *truncated* and callers must fall back to identity-only
-  dedup, which is always sound.
+  (``K_20`` has ``20!`` automorphisms): the group's order is bounded
+  first along a stabilizer chain, and a group over the limit is
+  reported *truncated* without being enumerated, so callers fall back
+  to identity-only dedup, which is always sound.
 * :class:`OrbitIndex` — canonicalizes a campaign scenario (inputs +
   node faults + fault plan) to the lexicographically minimal image
   under the group, with hit counters (``orbits_collapsed``,
@@ -73,13 +74,12 @@ def automorphism_group(
     """All adjacency-preserving node bijections of ``graph``.
 
     Returns ``(group, exact)``: the tuple of automorphisms (each a
-    ``node -> node`` dict, identity included) and whether the
-    enumeration is complete.  When more than ``limit`` automorphisms
-    exist the search stops early and ``exact`` is ``False`` — callers
-    needing soundness must then treat the group as unusable rather
-    than partial (a partial group still yields sound but weaker
-    canonical forms; :class:`OrbitIndex` keeps only exact groups to
-    keep the reasoning simple).
+    ``node -> node`` dict, identity included) and whether it is the
+    whole group.  The group's order is computed first, without
+    enumerating it; when it exceeds ``limit`` nothing is enumerated,
+    the tuple is empty and ``exact`` is ``False`` — callers must then
+    treat the group as unusable (:class:`OrbitIndex` falls back to
+    identity-only keys).
 
     Memoized per graph instance and per ``limit``.
     """
@@ -113,10 +113,8 @@ def automorphism_group(
         placed.add(best)
         remaining.discard(best)
 
-    group: list[Automorphism] = []
     mapping: Automorphism = {}
     used: set[NodeId] = set()
-    exact = True
 
     def compatible(u: NodeId, v: NodeId) -> bool:
         for neighbor in graph.neighbors(u):
@@ -127,31 +125,54 @@ def automorphism_group(
                 return False
         return True
 
-    def backtrack(index: int) -> bool:
-        """Depth-first over class-respecting assignments; returns False
-        to abort the whole search once ``limit`` is exceeded."""
-        nonlocal exact
+    def search(index: int, found) -> bool:
+        """Depth-first over class-respecting extensions of ``mapping``
+        to ``order[index:]``; ``found()`` runs on each automorphism and
+        returns whether to go on.  Returns False once it said no."""
         if index == len(order):
-            group.append(dict(mapping))
-            if len(group) > limit:
-                exact = False
-                group.pop()
-                return False
-            return True
+            return found()
         u = order[index]
         for v in by_color[colors[u]]:
             if v in used or not compatible(u, v):
                 continue
             mapping[u] = v
             used.add(v)
-            keep_going = backtrack(index + 1)
+            go_on = search(index + 1, found)
             del mapping[u]
             used.discard(v)
-            if not keep_going:
+            if not go_on:
                 return False
         return True
 
-    backtrack(0)
+    # |Aut(G)| by orbit-stabilizer along ``order``: with order[:i]
+    # fixed, the images of order[i] that extend to an automorphism are
+    # its orbit under that pointwise stabilizer, and the group order is
+    # the product of the orbit sizes.  One extension search per
+    # candidate image, so a group too big to enumerate is known to be
+    # so after a few levels (K_8 stops at 8*7*6*5*4 > 5 000).
+    group_order = 1
+    for index, u in enumerate(order):
+        orbit = 0
+        for v in by_color[colors[u]]:
+            if v in used or not compatible(u, v):
+                continue
+            mapping[u] = v
+            used.add(v)
+            orbit += not search(index + 1, lambda: False)
+            del mapping[u]
+            used.discard(v)
+        group_order *= orbit
+        if group_order > limit:
+            break
+        mapping[u] = u
+        used.add(u)
+    mapping.clear()
+    used.clear()
+
+    group: list[Automorphism] = []
+    exact = group_order <= limit
+    if exact:
+        search(0, lambda: group.append(dict(mapping)) or True)
     result = (tuple(group), exact)
     cache[key] = result
     return result

@@ -11,8 +11,8 @@ campaign run replayable.
 Two injectors interpret a plan:
 
 * :class:`SyncFaultInjector` interposes on the synchronous executor's
-  per-round, per-edge message slots (``start``/``end`` are round
-  indices).
+  per-round message slots of the edges its plan touches
+  (``start``/``end`` are round indices).
 * :class:`TimedFaultInjector` interposes on the timed executor's sends
   (``start``/``end`` are real times; a delay adds real time to the
   arrival).
@@ -357,9 +357,13 @@ class _PlanIndex:
 class SyncFaultInjector:
     """Interposes on the synchronous executor's per-round message slots.
 
-    The executor calls :meth:`deliver` once per directed edge per round,
-    in a fixed order; the injector returns what the receiver actually
-    sees in that slot.  Semantics, in priority order:
+    The executor calls :meth:`deliver` on the message slots of the
+    edges in :attr:`touched` — those with a link fault or in a
+    partition, the only edges the plan can act on — once per round, in
+    routing order, right after the sender's send; the injector returns
+    what the receiver actually sees in that slot.  Every other slot
+    passes unchanged, as :meth:`deliver` would pass it.  Semantics, in
+    priority order:
 
     1. an active partition drops the slot;
     2. link faults on the edge apply in plan order — the first drop /
@@ -376,6 +380,7 @@ class SyncFaultInjector:
         self._index = _PlanIndex(plan)
         self._pending: dict[DirectedEdge, dict[int, list[Any]]] = {}
         self.trace = InjectionTrace()
+        self.touched = plan.faulty_edges()
 
     @property
     def plan(self) -> FaultPlan:

@@ -15,11 +15,11 @@ in a round-level **trie**:
   edge in plan order, with their parameters).  Equal signatures ⇒ the
   injector treats that round identically, whatever the messages are.
 * An :class:`ExecutionTrie` stores, per signature path, the round's
-  execution *delta*: each node's new state, each edge's delivered
-  message, the injector's trace records and in-flight delayed
-  messages.  The state at any round boundary is the concatenation of
-  the deltas along the path — so snapshots cost O(nodes + edges) per
-  round, not a full copy of the growing histories.
+  execution *delta*: each node's new state, the round's message row,
+  the injector's trace records and in-flight delayed messages.  The
+  state at any round boundary is the concatenation of the deltas
+  along the path — so snapshots cost O(nodes + edges) per round, not
+  a full copy of the growing histories.
 * A new run walks the trie as deep as its signatures match, rebuilds
   that prefix state from the deltas in one pass, and executes only the
   remaining rounds — recording fresh deltas as it goes.
@@ -27,11 +27,12 @@ in a round-level **trie**:
 The replayed rounds are *lookups*, not re-executions, yet the final
 :class:`~repro.runtime.sync.behavior.SyncBehavior` and
 :class:`~repro.runtime.faults.InjectionTrace` are byte-identical to a
-from-scratch run: deltas are only ever produced by actually running
-the executor's round loop (the code below mirrors
-:func:`~repro.runtime.sync.executor.execute_plan` statement for
-statement), and the golden tests diff both paths against the
-interpretive :func:`repro.testing.reference_sync_run` oracle.
+from-scratch run: the trie has no round loop of its own.  It resumes
+the executor's loop (:func:`~repro.runtime.sync.executor.advance`)
+from the restored prefix and records each executed round through the
+loop's ``record`` callback, and the golden tests diff both paths
+against the interpretive :func:`repro.testing.reference_sync_run`
+oracle.
 
 :class:`IncrementalContext` keys tries by execution context (compiled
 system content: config, inputs, node faults) with a bounded LRU, so
@@ -42,15 +43,20 @@ memory stays bounded.
 from __future__ import annotations
 
 from collections import OrderedDict
-from time import perf_counter
 from typing import Any
 
 from .. import obs
-from ..graphs.graph import DirectedEdge
 from .faults import FaultPlan, InjectionTrace, SyncFaultInjector, _PlanIndex
 from .plan import SyncPlan
-from .sync.behavior import EdgeBehavior, NodeBehavior, SyncBehavior
-from .sync.executor import ExecutionError, _NodeRun
+from .sync.behavior import SyncBehavior
+from .sync.executor import (
+    ExecutionError,
+    _NodeRun,
+    advance,
+    behavior_of,
+    emit_phase_events,
+    init_runs,
+)
 
 
 def plan_signatures(plan: FaultPlan, rounds: int) -> tuple[tuple, ...]:
@@ -111,11 +117,12 @@ class _TrieNode:
     children keyed by the next round's signature.
 
     ``states`` holds each node's state *appended* this round (the init
-    states at the root), ``messages`` each edge's single delivered
-    message, ``trace`` the injection records emitted, ``decisions`` the
-    full (small) per-node ``(decision, decided_at)`` vector, and
-    ``pending`` the injector's full in-flight delayed-message map at
-    the boundary (tiny: only live delays appear in it).
+    states at the root), ``messages`` the round's message row (slot
+    order, see :class:`~repro.runtime.plan.SyncPlan`), ``trace`` the
+    injection records emitted, ``decisions`` the full (small) per-node
+    ``(decision, decided_at)`` vector, and ``pending`` the injector's
+    full in-flight delayed-message map at the boundary (tiny: only
+    live delays appear in it).
     """
 
     __slots__ = ("states", "decisions", "messages", "pending", "trace",
@@ -125,7 +132,7 @@ class _TrieNode:
         self,
         states: tuple[Any, ...],
         decisions: tuple[tuple[Any, int | None], ...],
-        messages: tuple[Any, ...],
+        messages: list[Any] | tuple[()],
         pending: tuple,
         trace: tuple,
     ) -> None:
@@ -218,20 +225,16 @@ class TrieRun:
     def trace(self) -> InjectionTrace:
         return self.injector.trace
 
-    def _restore(self) -> tuple[list[_NodeRun], dict[DirectedEdge, list[Any]]]:
+    def _restore(self) -> tuple[list[_NodeRun], list[list[Any]]]:
         """Rebuild the execution state at the end of the walked prefix
         by concatenating the path's deltas (one pass, front to back)."""
-        plan = self.trie.plan
         tip = self._path[-1]
         runs = [
             _NodeRun(states=[node.states[i] for node in self._path],
                      decision=dec, decided_at=at)
             for i, (dec, at) in enumerate(tip.decisions)
         ]
-        edge_messages: dict[DirectedEdge, list[Any]] = {
-            edge: [node.messages[j] for node in self._path[1:]]
-            for j, edge in enumerate(plan.edges)
-        }
+        rows = [node.messages for node in self._path[1:]]
         records: list = []
         for node in self._path:
             records.extend(node.trace)
@@ -240,25 +243,19 @@ class TrieRun:
             edge: {due: list(msgs) for due, msgs in dues}
             for edge, dues in tip.pending
         }
-        return runs, edge_messages
+        return runs, rows
 
     def execute(self) -> SyncBehavior:
         """Run the staged execution; replays the shared prefix from the
         trie's deltas and executes only the remaining rounds."""
         trie = self.trie
         plan = trie.plan
-        compiled = plan.nodes
         injector = self.injector
 
         if trie.root is None:
             # First run ever: perform the init phase and root it.
-            runs = []
-            for cn in compiled:
-                state = cn.device.init_state(cn.ctx)
-                node_run = _NodeRun(states=[state])
-                runs.append(node_run)
-                node_run.observe_choice(cn.device, cn.ctx, 0, cn.node)
-            edge_messages = {edge: [] for edge in plan.edges}
+            runs = init_runs(plan)
+            rows: list[list[Any]] = []
             trie.root = _TrieNode(
                 states=tuple(r.states[0] for r in runs),
                 decisions=tuple((r.decision, r.decided_at) for r in runs),
@@ -269,147 +266,50 @@ class TrieRun:
             trie.nodes_stored += 1
             self._path = [trie.root]
         else:
-            runs, edge_messages = self._restore()
+            runs, rows = self._restore()
 
-        node = self._path[-1]
         depth = len(self._path) - 1
         trie.runs += 1
         trie.rounds_replayed += depth
 
-        obs_on = obs.is_enabled()
-        if obs_on and depth:
+        if obs.is_enabled() and depth:
             # Replayed rounds are lookups, not executions — but the
             # run-scope event stream must not know that.  Synthesize,
-            # from the stored deltas, exactly the events execute_plan
+            # from the stored deltas, exactly the events the round loop
             # would have emitted for the prefix; the replay fact itself
             # is a host-scope event.
             obs.emit(obs.TRIE_REPLAY, rounds=depth)
-            for replay_index in range(depth):
-                _emit_round_events(
-                    replay_index,
-                    dict(zip(plan.edges, self._path[replay_index + 1].messages)),
-                    self._path[replay_index + 1].trace,
-                )
-
-        # From here down this is execute_plan's round loop verbatim,
-        # plus a per-round delta recorded into the trie.
-        for round_index in range(depth, self.rounds):
-            if obs_on:
-                round_t0 = perf_counter()
-                obs.emit(obs.ROUND_START, round=round_index)
-            trace_mark = len(injector.trace.records)
-            outboxes: dict[DirectedEdge, Any] = {}
-            for cn, node_run in zip(compiled, runs):
-                out = cn.device.send(cn.ctx, node_run.states[-1], round_index)
-                valid_ports = cn.valid_ports
-                for label in out:
-                    if label not in valid_ports:
-                        raise ExecutionError(
-                            f"device at {cn.node!r} sent on unknown port "
-                            f"{label!r}"
-                        )
-                for edge, label in cn.out_routes:
-                    message = out.get(label)
-                    message = injector.deliver(edge, round_index, message)
-                    outboxes[edge] = message
-                    edge_messages[edge].append(message)
-
-            if obs_on:
-                _emit_phase_events(
-                    round_index, outboxes, injector.trace.records[trace_mark:]
-                )
-
-            for cn, node_run in zip(compiled, runs):
-                inbox = {
-                    label: outboxes[edge] for label, edge in cn.in_routes
-                }
-                state = cn.device.transition(
-                    cn.ctx, node_run.states[-1], round_index, inbox
-                )
-                node_run.states.append(state)
-                node_run.observe_choice(
-                    cn.device, cn.ctx, round_index + 1, cn.node
-                )
-
-            if obs_on:
+            for replay_index, node in enumerate(self._path[1:]):
+                obs.emit(obs.ROUND_START, round=replay_index)
+                emit_phase_events(plan, replay_index, node.messages, node.trace)
                 obs.emit(
                     obs.ROUND_END,
-                    round=round_index,
-                    messages=len(outboxes),
-                    injected=len(injector.trace.records) - trace_mark,
+                    round=replay_index,
+                    messages=len(node.messages),
+                    injected=len(node.trace),
                 )
-                obs.observe_span("executor.round", perf_counter() - round_t0)
 
-            trie.rounds_executed += 1
+        records = injector.trace.records
+        mark = len(records)
+        tip = self._path[-1]
+
+        def record(round_index: int, row: list[Any]) -> None:
+            nonlocal mark, tip
             child = _TrieNode(
                 states=tuple(r.states[-1] for r in runs),
                 decisions=tuple((r.decision, r.decided_at) for r in runs),
-                messages=tuple(edge_messages[e][-1] for e in plan.edges),
+                messages=row,
                 pending=_freeze_pending(injector),
-                trace=tuple(injector.trace.records[trace_mark:]),
+                trace=tuple(records[mark:]),
             )
-            node.children[self.signatures[round_index]] = child
+            mark = len(records)
+            tip.children[self.signatures[round_index]] = child
+            tip = child
+            trie.rounds_executed += 1
             trie.nodes_stored += 1
-            node = child
 
-        node_behaviors = {
-            cn.node: NodeBehavior(
-                states=tuple(r.states),
-                decision=r.decision,
-                decided_at=r.decided_at,
-            )
-            for cn, r in zip(compiled, runs)
-        }
-        edge_behaviors = {
-            edge: EdgeBehavior(tuple(msgs))
-            for edge, msgs in edge_messages.items()
-        }
-        return SyncBehavior(
-            graph=plan.graph,
-            rounds=self.rounds,
-            node_behaviors=node_behaviors,
-            edge_behaviors=edge_behaviors,
-        )
-
-
-def _emit_phase_events(
-    round_index: int, by_edge: dict[DirectedEdge, Any], records
-) -> None:
-    """Emit one round's delivery + injection events in the same
-    canonical (sorted) order :func:`execute_plan` uses — replayed and
-    executed rounds must be indistinguishable in the trace."""
-    for edge in sorted(by_edge, key=repr):
-        obs.emit(
-            obs.MESSAGE_DELIVERY,
-            round=round_index,
-            src=str(edge[0]),
-            dst=str(edge[1]),
-            empty=by_edge[edge] is None,
-        )
-    for rec in sorted(records, key=lambda r: (repr(r.edge), r.action, r.time)):
-        obs.emit(
-            obs.FAULT_INJECTION,
-            round=round_index,
-            src=str(rec.edge[0]),
-            dst=str(rec.edge[1]),
-            action=rec.action,
-            time=rec.time,
-        )
-
-
-def _emit_round_events(
-    round_index: int, by_edge: dict[DirectedEdge, Any], records
-) -> None:
-    """Synthesize a full replayed round's event stream from its stored
-    trie delta."""
-    obs.emit(obs.ROUND_START, round=round_index)
-    _emit_phase_events(round_index, by_edge, records)
-    obs.emit(
-        obs.ROUND_END,
-        round=round_index,
-        messages=len(by_edge),
-        injected=len(records),
-    )
+        advance(plan, runs, rows, injector, depth, self.rounds, record)
+        return behavior_of(plan, runs, rows)
 
 
 class IncrementalContext:

@@ -12,9 +12,9 @@ dict lookups:
 
 * :func:`compile_sync_plan` → :class:`SyncPlan`: per node, the device,
   its (single, shared) :class:`NodeContext`, the valid-port set for
-  send validation, the ``(edge, port label)`` routing table for the
-  send phase and the ``(port label, edge)`` inbox template for the
-  receive phase.
+  send validation, and its *slot tables*: a round's messages live in
+  one flat row with a slot per directed edge, which the node fills in
+  the send phase and reads its inbox from in the receive phase.
 * :func:`compile_timed_plan` → :class:`TimedPlan`: per node, the
   context, hardware clock (plus its lazily computed inverse), the
   ``port label → neighbor`` map, and the global ``edge → receiver
@@ -62,29 +62,36 @@ _TIMED_PLAN_ATTR = "_compiled_timed_plan"
 class CompiledSyncNode:
     """Everything the round loop needs about one node, pre-resolved.
 
-    ``out_routes`` lists ``(edge, port label)`` in the graph's neighbor
-    order — the exact order the interpretive executor visited — and
-    ``in_routes`` lists ``(port label at this node, inedge)`` in
-    in-neighbor order, so the inbox dict is built with identical keys
-    and insertion order.
+    A round's messages form one flat *row*, one slot per directed
+    edge.  Slots are laid out in routing order — node by node in graph
+    order, each node's out-edges in neighbor order (the order the
+    interpretive executor visited) — so a node's send fills a
+    contiguous block of the row: ``out_labels`` is the port label of
+    each of its out-edges, in slot order.  ``in_slots`` lists ``(port
+    label at this node, slot of the inedge)`` in in-neighbor order, so
+    the inbox dict is built with identical keys and insertion order.
     """
 
     node: NodeId
     device: "SyncDevice"
     ctx: "NodeContext"
     valid_ports: frozenset
-    out_routes: tuple[tuple[DirectedEdge, Any], ...]
-    in_routes: tuple[tuple[Any, DirectedEdge], ...]
+    out_labels: tuple[Any, ...]
+    in_slots: tuple[tuple[Any, int], ...]
 
 
 @dataclass(frozen=True)
 class SyncPlan:
     """A compiled synchronous system: flat per-node tables plus the
-    edge list, ready for the tight loop in ``execute_plan``."""
+    slot layout of a round's message row.  ``edges`` keeps the graph's
+    edge order (the order of a behavior's edge map); ``slot_edges`` is
+    the edge of each slot and ``edge_slots`` its inverse."""
 
     system: "SyncSystem"
     nodes: tuple[CompiledSyncNode, ...]
     edges: tuple[DirectedEdge, ...]
+    slot_edges: tuple[DirectedEdge, ...]
+    edge_slots: Mapping[DirectedEdge, int]
 
     @property
     def graph(self):
@@ -99,6 +106,21 @@ class SyncPlan:
         return execute_plan(self, rounds, injector)
 
 
+def _slot_layout(graph) -> tuple[tuple[DirectedEdge, ...], dict]:
+    """The graph-only part of every plan on ``graph``: the edge of each
+    slot, in routing order, and its inverse.  Computed once per graph
+    (graphs are immutable; see ``analytics_cache``)."""
+    cache = graph.analytics_cache()
+    layout = cache.get("sync_slots")
+    if layout is None:
+        slot_edges = tuple(
+            (u, v) for u in graph.nodes for v in graph.neighbors(u)
+        )
+        layout = (slot_edges, {e: s for s, e in enumerate(slot_edges)})
+        cache["sync_slots"] = layout
+    return layout
+
+
 def compile_sync_plan(system: "SyncSystem") -> SyncPlan:
     """Compile (and memoize on the system) a :class:`SyncPlan`.
 
@@ -110,29 +132,31 @@ def compile_sync_plan(system: "SyncSystem") -> SyncPlan:
     if cached is not None:
         return cached
     graph = system.graph
+    slot_edges, edge_slots = _slot_layout(graph)
     compiled = []
     for u in graph.nodes:
         assignment = system.assignments[u]
         ctx = assignment.context()
         ports = assignment.port_of_neighbor
-        out_routes = tuple(
-            ((u, v), ports[v]) for v in graph.neighbors(u)
-        )
-        in_routes = tuple(
-            (ports[v], (v, u)) for v in graph.in_neighbors(u)
-        )
         compiled.append(
             CompiledSyncNode(
                 node=u,
                 device=assignment.device,
                 ctx=ctx,
                 valid_ports=frozenset(ctx.ports),
-                out_routes=out_routes,
-                in_routes=in_routes,
+                out_labels=tuple(ports[v] for v in graph.neighbors(u)),
+                in_slots=tuple(
+                    (ports[v], edge_slots[(v, u)])
+                    for v in graph.in_neighbors(u)
+                ),
             )
         )
     plan = SyncPlan(
-        system=system, nodes=tuple(compiled), edges=tuple(graph.edges)
+        system=system,
+        nodes=tuple(compiled),
+        edges=tuple(graph.edges),
+        slot_edges=slot_edges,
+        edge_slots=edge_slots,
     )
     # Frozen dataclasses forbid setattr; writing through __dict__ is the
     # same trick functools.cached_property uses.

@@ -11,19 +11,24 @@ is the operational guarantee behind the paper's axioms:
   required to be pure; :func:`check_determinism` re-runs a system and
   compares traces.
 
-Since PR 2 the executor runs **compiled plans**
-(:mod:`repro.runtime.plan`): :func:`run` compiles the system once —
-device objects, contexts, valid-port sets, ``(edge, port)`` routing
-tables, inbox templates — and :func:`execute_plan` is the tight loop
-over those flat structures.  The observable behavior is byte-identical
-to the pre-plan interpretive loop (kept as
-:func:`repro.testing.reference_sync_run` and differentially tested);
-the fault injector still interposes on every per-edge slot between the
-send and receive phases, in the same order.
+The executor runs **compiled plans** (:mod:`repro.runtime.plan`):
+:func:`run` compiles the system once — device objects, contexts,
+valid-port sets, slot tables — and :func:`advance` is the one round
+loop.  A round's messages are one flat row, a slot per directed edge:
+each node's send fills its contiguous block of slots, the fault
+injector rewrites only the slots of edges its plan touches, and each
+inbox is read from the row through the receiver's slot table.
+:func:`execute_plan` runs it from round 0; the execution trie
+(:mod:`repro.runtime.incremental`) resumes it from a stored prefix and
+records each round it executes.  The observable behavior is
+byte-identical to the interpretive loop kept as
+:func:`repro.testing.reference_sync_run` and differentially tested,
+injection traces included.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
@@ -64,38 +69,68 @@ class _NodeRun:
             )
 
 
-def execute_plan(
-    plan: SyncPlan,
-    rounds: int,
-    injector: SyncFaultInjector | None = None,
-) -> SyncBehavior:
-    """Execute a compiled plan for ``rounds`` rounds.
-
-    This is the hot path: everything per-node and per-edge was resolved
-    at compile time, so each round is two flat passes over the compiled
-    node tuple.  Executing the same plan twice yields equal behaviors
-    (plans carry no per-run state).
-    """
-    if rounds < 0:
-        raise ExecutionError("rounds must be non-negative")
-    compiled = plan.nodes
-    runs: list[_NodeRun] = []
-    for cn in compiled:
-        state = cn.device.init_state(cn.ctx)
-        node_run = _NodeRun(states=[state])
+def init_runs(plan: SyncPlan) -> list[_NodeRun]:
+    """Every node's initial state, with its round-0 decision observed."""
+    runs = []
+    for cn in plan.nodes:
+        node_run = _NodeRun(states=[cn.device.init_state(cn.ctx)])
         runs.append(node_run)
         node_run.observe_choice(cn.device, cn.ctx, 0, cn.node)
+    return runs
 
-    edge_messages: dict[DirectedEdge, list[Any]] = {
-        edge: [] for edge in plan.edges
-    }
 
-    # Telemetry is hoisted to one boolean per call; when off, the only
-    # per-round cost below is this flag check (the per-edge loops are
-    # untouched).
+def touched_slots(
+    plan: SyncPlan, injector: SyncFaultInjector | None
+) -> list[tuple[tuple[int, DirectedEdge], ...]]:
+    """Per node, the ``(slot, edge)`` pairs of its out-edges that the
+    injector's plan touches, in routing order."""
+    by_node: dict[NodeId, list] = {}
+    if injector is not None:
+        slots = plan.edge_slots
+        for slot in sorted(slots[e] for e in injector.touched if e in slots):
+            edge = plan.slot_edges[slot]
+            by_node.setdefault(edge[0], []).append((slot, edge))
+    return [tuple(by_node.get(cn.node, ())) for cn in plan.nodes]
+
+
+def _reject_ports(cn, out) -> None:
+    """Name the first label in ``out`` that is not one of the node's
+    ports."""
+    for label in out:
+        if label not in cn.valid_ports:
+            raise ExecutionError(
+                f"device at {cn.node!r} sent on unknown port {label!r}"
+            )
+
+
+def advance(
+    plan: SyncPlan,
+    runs: list[_NodeRun],
+    rows: list[list[Any]],
+    injector: SyncFaultInjector | None,
+    start: int,
+    stop: int,
+    record: Callable[[int, list[Any]], None] | None = None,
+) -> None:
+    """Run rounds ``start .. stop - 1``: the one synchronous round loop.
+
+    ``runs`` holds each node's state history and ``rows`` each earlier
+    round's message row; both grow by one entry per round.  The
+    injector sees only the slots its plan touches, right after the
+    sender's send and in routing order, so its trace (also the partial
+    one a crashing device leaves) is the one a per-edge pass would
+    write.  ``record(round_index, row)``, if given, runs after each
+    round; the row is final by then and is never mutated again.
+    """
+    compiled = plan.nodes
+    hits = touched_slots(plan, injector)
+    deliver = injector.deliver if injector is not None else None
+
+    # Telemetry is hoisted to one boolean per call; when off, its only
+    # per-round cost below is this flag check.
     obs_on = obs.is_enabled()
 
-    for round_index in range(rounds):
+    for round_index in range(start, stop):
         if obs_on:
             round_t0 = perf_counter()
             obs.emit(obs.ROUND_START, round=round_index)
@@ -103,57 +138,27 @@ def execute_plan(
                 len(injector.trace.records) if injector is not None else 0
             )
 
-        # Phase 1: every node emits this round's messages.
-        outboxes: dict[DirectedEdge, Any] = {}
-        for cn, node_run in zip(compiled, runs):
+        # Phase 1: every node fills its slots of this round's row.
+        row: list[Any] = []
+        for cn, node_run, node_hits in zip(compiled, runs, hits):
             out = cn.device.send(cn.ctx, node_run.states[-1], round_index)
-            valid_ports = cn.valid_ports
-            for label in out:
-                if label not in valid_ports:
-                    raise ExecutionError(
-                        f"device at {cn.node!r} sent on unknown port {label!r}"
-                    )
-            for edge, label in cn.out_routes:
-                message = out.get(label)
-                if injector is not None:
-                    message = injector.deliver(edge, round_index, message)
-                outboxes[edge] = message
-                edge_messages[edge].append(message)
+            if not cn.valid_ports.issuperset(out):
+                _reject_ports(cn, out)
+            row.extend(map(out.get, cn.out_labels))
+            for slot, edge in node_hits:
+                row[slot] = deliver(edge, round_index, row[slot])
+        rows.append(row)
 
         if obs_on:
-            # Delivery/injection events are emitted in sorted-edge
-            # order, not routing order: compiled routing follows
-            # frozenset iteration, which is hash-dependent and so not
-            # stable across interpreter processes.
-            for edge in sorted(outboxes, key=repr):
-                obs.emit(
-                    obs.MESSAGE_DELIVERY,
-                    round=round_index,
-                    src=str(edge[0]),
-                    dst=str(edge[1]),
-                    empty=outboxes[edge] is None,
-                )
-            injected = 0
-            if injector is not None:
-                fresh = injector.trace.records[trace_mark:]
-                injected = len(fresh)
-                for rec in sorted(
-                    fresh, key=lambda r: (repr(r.edge), r.action, r.time)
-                ):
-                    obs.emit(
-                        obs.FAULT_INJECTION,
-                        round=round_index,
-                        src=str(rec.edge[0]),
-                        dst=str(rec.edge[1]),
-                        action=rec.action,
-                        time=rec.time,
-                    )
+            fresh = (
+                injector.trace.records[trace_mark:]
+                if injector is not None else ()
+            )
+            emit_phase_events(plan, round_index, row, fresh)
 
         # Phase 2: every node consumes its inbox and moves.
         for cn, node_run in zip(compiled, runs):
-            inbox = {
-                label: outboxes[edge] for label, edge in cn.in_routes
-            }
+            inbox = {label: row[slot] for label, slot in cn.in_slots}
             state = cn.device.transition(
                 cn.ctx, node_run.states[-1], round_index, inbox
             )
@@ -164,28 +169,86 @@ def execute_plan(
             obs.emit(
                 obs.ROUND_END,
                 round=round_index,
-                messages=len(outboxes),
-                injected=injected,
+                messages=len(row),
+                injected=len(fresh),
             )
             obs.observe_span("executor.round", perf_counter() - round_t0)
+        if record is not None:
+            record(round_index, row)
 
-    node_behaviors = {
-        cn.node: NodeBehavior(
-            states=tuple(r.states),
-            decision=r.decision,
-            decided_at=r.decided_at,
+
+def emit_phase_events(
+    plan: SyncPlan, round_index: int, row: list[Any], records
+) -> None:
+    """One round's delivery and injection events.
+
+    They are emitted in sorted-edge order, not routing order: routing
+    follows the graph's neighbor lists, which graphs built from edge
+    sets (``relabel``, say) fill in a hash-dependent order, so sorting
+    by ``repr`` is what keeps the stream stable across interpreter
+    processes (and identical for rounds the trie replays)."""
+    slot_edges = plan.slot_edges
+    for slot in sorted(range(len(row)), key=lambda s: repr(slot_edges[s])):
+        edge = slot_edges[slot]
+        obs.emit(
+            obs.MESSAGE_DELIVERY,
+            round=round_index,
+            src=str(edge[0]),
+            dst=str(edge[1]),
+            empty=row[slot] is None,
         )
-        for cn, r in zip(compiled, runs)
-    }
-    edge_behaviors = {
-        edge: EdgeBehavior(tuple(msgs)) for edge, msgs in edge_messages.items()
-    }
+    for rec in sorted(records, key=lambda r: (repr(r.edge), r.action, r.time)):
+        obs.emit(
+            obs.FAULT_INJECTION,
+            round=round_index,
+            src=str(rec.edge[0]),
+            dst=str(rec.edge[1]),
+            action=rec.action,
+            time=rec.time,
+        )
+
+
+def behavior_of(
+    plan: SyncPlan, runs: list[_NodeRun], rows: list[list[Any]]
+) -> SyncBehavior:
+    """The system behavior of a finished run: node state histories,
+    and each edge's column of the message rows (in ``plan.edges``
+    order)."""
+    columns = list(zip(*rows)) or [()] * len(plan.slot_edges)
+    slots = plan.edge_slots
     return SyncBehavior(
         graph=plan.graph,
-        rounds=rounds,
-        node_behaviors=node_behaviors,
-        edge_behaviors=edge_behaviors,
+        rounds=len(rows),
+        node_behaviors={
+            cn.node: NodeBehavior(
+                states=tuple(r.states),
+                decision=r.decision,
+                decided_at=r.decided_at,
+            )
+            for cn, r in zip(plan.nodes, runs)
+        },
+        edge_behaviors={
+            edge: EdgeBehavior(columns[slots[edge]]) for edge in plan.edges
+        },
     )
+
+
+def execute_plan(
+    plan: SyncPlan,
+    rounds: int,
+    injector: SyncFaultInjector | None = None,
+) -> SyncBehavior:
+    """Execute a compiled plan for ``rounds`` rounds.
+
+    Executing the same plan twice yields equal behaviors (plans carry
+    no per-run state).
+    """
+    if rounds < 0:
+        raise ExecutionError("rounds must be non-negative")
+    runs = init_runs(plan)
+    rows: list[list[Any]] = []
+    advance(plan, runs, rows, injector, 0, rounds)
+    return behavior_of(plan, runs, rows)
 
 
 def run(
@@ -198,11 +261,10 @@ def run(
     Compiles the system to a :class:`~repro.runtime.plan.SyncPlan`
     (memoized on the system object, so repeated runs compile once) and
     executes it.  With an ``injector`` (see :mod:`repro.runtime.faults`)
-    every per-edge message slot is passed through the injector between
-    the send and receive phases; edge behaviors then record what the
-    channel *delivered*, and the injector's trace records what it did.
-    Without one, the code path is the classic reliable-channel
-    executor, byte-for-byte.
+    the message slots of the edges its plan touches pass through it
+    between the send and receive phases; edge behaviors then record
+    what the channel *delivered*, and the injector's trace records
+    what it did.
     """
     return execute_plan(compile_sync_plan(system), rounds, injector)
 

@@ -135,6 +135,48 @@ class TestCLI:
         with pytest.raises(ValueError):
             node_bound_sweep((0,))
 
+    @pytest.mark.parametrize(
+        "argv,low",
+        [
+            (["campaign", "--rounds", "0"], 1),
+            (["--seed", "3", "campaign", "--rounds", "0"], 1),
+            (["campaign", "--frontier", "--rounds", "0"], 1),
+            (["attack", "--rounds", "0"], 1),
+            (["attack", "--rounds", "-2"], 1),
+            (["refute", "byzantine", "--rounds", "-1"], 0),
+        ],
+    )
+    def test_bad_rounds_are_usage_errors(self, capsys, argv, low):
+        # Rejected at the parser: no vacuous verdict, no traceback and
+        # no seed-dependent error from deep inside the sampler.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert errors == [
+            errors[0].split("error:")[0]
+            + f"error: argument --rounds: must be at least {low}, "
+            f"got {argv[-1]}"
+        ]
+        assert "Traceback" not in captured.err
+
+    def test_refute_accepts_zero_rounds(self, capsys):
+        assert main(["refute", "byzantine", "--rounds", "0"]) == 0
+
+    def test_campaign_config_rejects_zero_rounds(self):
+        from repro.analysis.campaign import CampaignConfig
+
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            CampaignConfig(
+                graph=parse_graph("complete:4"),
+                device_factory=lambda graph: {},
+                rounds=0,
+            )
+
     def test_error_exit_code(self, capsys):
         assert main(["classify", "--graph", "nope"]) == 2
         assert "error" in capsys.readouterr().err

@@ -6,6 +6,7 @@ fault plan must not change its canonical key, and name-sensitive
 scenarios must refuse to collapse with anything but themselves.
 """
 
+import itertools
 import random
 
 import pytest
@@ -91,6 +92,101 @@ class TestGroupOrders:
         g = ring(5)
         first = automorphism_group(g)
         assert automorphism_group(g) is first
+
+
+def _graph(edges):
+    return CommunicationGraph.from_undirected(edges)
+
+
+def _k33():
+    return _graph([(f"a{i}", f"b{j}") for i in range(3) for j in range(3)])
+
+
+def _petersen():
+    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    return _graph(outer + spokes + inner)
+
+
+def _cube():
+    return _graph(
+        [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
+    )
+
+
+def _asymmetric_tree():
+    # A 6-path with a leaf on its third node: the branches at the
+    # degree-3 node have lengths 1, 2 and 3, so nothing can move.
+    return _graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+
+
+def _brute_force_order(graph):
+    nodes = list(graph.nodes)
+    return sum(
+        all(graph.has_edge(p[nodes.index(u)], p[nodes.index(v)])
+            for u, v in graph.edges)
+        for p in itertools.permutations(nodes)
+    )
+
+
+KNOWN_GROUPS = [
+    ("C5", lambda: ring(5), 10),
+    ("C7", lambda: ring(7), 14),
+    ("K5", lambda: complete_graph(5), 120),
+    ("K33", _k33, 72),
+    ("Petersen", _petersen, 120),
+    ("Q3", _cube, 48),
+    ("asymmetric tree", _asymmetric_tree, 1),
+]
+
+
+class TestOrderBound:
+    """The stabilizer-chain order decides ``exact`` before anything is
+    enumerated: it must equal the enumerated group's size exactly."""
+
+    @pytest.mark.parametrize(
+        "build,order", [(b, o) for _, b, o in KNOWN_GROUPS],
+        ids=[name for name, _, _ in KNOWN_GROUPS],
+    )
+    def test_order_equals_enumeration(self, build, order):
+        group, exact = automorphism_group(build(), limit=order)
+        assert exact and len(group) == order
+        assert len({tuple(sorted(g.items(), key=repr)) for g in group}) == order
+        # One below the order: the bound alone says "too big".
+        group, exact = automorphism_group(build(), limit=order - 1)
+        assert not exact and group == ()
+
+    @pytest.mark.parametrize(
+        "build,order",
+        [(b, o) for name, b, o in KNOWN_GROUPS if name != "Petersen"],
+        ids=[name for name, _, _ in KNOWN_GROUPS if name != "Petersen"],
+    )
+    def test_order_matches_brute_force(self, build, order):
+        assert _brute_force_order(build()) == order
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_huge_group_is_rejected_without_enumerating(self, n, monkeypatch):
+        # Enumerating 5 001 elements of Aut(K8) costs ~245 000
+        # adjacency tests; bounding the order costs a few thousand.
+        calls = 0
+        has_edge = CommunicationGraph.has_edge
+
+        def counting(self, u, v):
+            nonlocal calls
+            calls += 1
+            return has_edge(self, u, v)
+
+        monkeypatch.setattr(CommunicationGraph, "has_edge", counting)
+        graph = complete_graph(n)
+        index = OrbitIndex(graph)
+        assert not index.exact and index.group_order == 1
+        assert calls < 10_000
+        assert [
+            result
+            for key, result in graph.analytics_cache().items()
+            if key[0] == "automorphism_group"
+        ] == [((), False)]
 
 
 class TestNodeOrbits:

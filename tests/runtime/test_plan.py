@@ -119,10 +119,20 @@ class TestSyncPlanCompilation:
         plan = compile_sync_plan(system)
         g = system.graph
         assert set(plan.edges) == set(g.edges)
-        out_edges = {e for cn in plan.nodes for (e, _) in cn.out_routes}
-        in_edges = {e for cn in plan.nodes for (_, e) in cn.in_routes}
-        assert out_edges == set(g.edges)
+        # Slots: one per edge, each node's out-edges contiguous and in
+        # neighbor order, every inedge read from its own slot.
+        assert sorted(plan.edge_slots.values()) == list(range(len(g.edges)))
+        assert all(plan.slot_edges[s] == e for e, s in plan.edge_slots.items())
+        assert plan.slot_edges == tuple(
+            (cn.node, v) for cn in plan.nodes for v in g.neighbors(cn.node)
+        )
+        assert sum(len(cn.out_labels) for cn in plan.nodes) == len(g.edges)
+        in_edges = {
+            plan.slot_edges[s] for cn in plan.nodes for (_, s) in cn.in_slots
+        }
         assert in_edges == set(g.edges)
+        for cn in plan.nodes:
+            assert all(plan.slot_edges[s][1] == cn.node for _, s in cn.in_slots)
 
     def test_plan_run_matches_executor_run(self):
         system = _majority_system()
