@@ -218,16 +218,25 @@ def bench_orbit_dedup(smoke):
         lambda: run_campaign(config, memoize=False), repeats
     )
 
-    from repro.analysis.campaign import SearchStats
+    t_dedup, dedup = _time(
+        lambda: run_campaign(config, memoize=False, orbit_dedup=True),
+        repeats,
+    )
+    # The orbit counters come from one untimed traced run's registry.
+    from repro import obs
 
-    stats = SearchStats()
-
-    def deduped():
-        return run_campaign(
-            config, memoize=False, orbit_dedup=True, stats=stats
-        )
-
-    t_dedup, dedup = _time(deduped, repeats)
+    obs.enable()
+    try:
+        run_campaign(config, memoize=False, orbit_dedup=True)
+        gauges = obs.get_registry().snapshot("host")["gauges"]
+    finally:
+        obs.reset()
+    prefix = "host.orbit."
+    orbits = {
+        name[len(prefix):]: int(value)
+        for name, value in gauges.items()
+        if name.startswith(prefix)
+    }
     same = json.dumps(campaign_to_dict(plain), sort_keys=True) == json.dumps(
         campaign_to_dict(dedup), sort_keys=True
     )
@@ -242,7 +251,7 @@ def bench_orbit_dedup(smoke):
         "orbit_dedup_ops": attempts / t_dedup if t_dedup else None,
         "speedup": t_plain / t_dedup if t_dedup else None,
         "identical_output": same,
-        "orbits": stats.orbit_index.stats(),
+        "orbits": orbits,
     }
 
 

@@ -20,7 +20,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     "campaign": (
         "CampaignConfig", "CampaignResult", "Counterexample",
         "DegradationFrontier", "FRONTIER_HEADERS", "FrontierRow", "NodeFault",
-        "SearchStats", "campaign_store_key", "degradation_frontier",
+        "campaign_store_key", "degradation_frontier",
         "frontier_store_key", "replay_counterexample", "run_campaign",
         "sample_fault_plan", "shrink_counterexample",
     ),

@@ -15,32 +15,37 @@ termination), the first budget at which it breaks.  Together these grow
 the repo from "the theorems' constructions" toward "as many failure
 scenarios as you can imagine", with every run replayable.
 
-Performance (PR 2): every attempt is deterministic given its content,
-so :func:`execute_attempt` memoizes through a content-addressed
+The attempt scan is one pass of the package's scan driver
+(:func:`repro.analysis.runstore.journaled_map`): attempts are merged in
+index order and the first violating index wins, whatever ``jobs``,
+resume point or orbit dedup is in effect.  ``jobs=1`` runs attempts one
+at a time and stops at the violation; ``jobs > 1`` fans batches across
+a process pool; a run-store shard journals each attempt's verdict so an
+interrupted campaign resumes byte-identically.
+
+Every attempt is deterministic given its content, so
+:func:`execute_attempt` memoizes through a content-addressed
 :class:`~repro.runtime.memo.BehaviorCache` — the shrinker's and
 replayer's re-executions of identical ``(inputs, node faults, plan)``
-configurations become cache hits — and :func:`run_campaign` /
-:func:`degradation_frontier` accept ``jobs=N`` to fan attempts /
-budget levels across a process pool with serial-identical results
-(attempts are merged in index order; the first violating index wins,
-exactly as in the serial scan).
-
-Performance (PR 3): two further equivalence-gated reductions.
-``orbit_dedup=True`` canonicalizes each sampled scenario under the
-graph's automorphism group (:mod:`repro.graphs.automorphisms`) and
-executes one representative per orbit, reusing only the spec's ok-bit
-for the rest — the violating attempt itself is always re-executed for
-shrinking, so results stay byte-identical.  (Requires a node-symmetric
-device factory: every node gets behaviorally identical, label-
-equivariant devices, as with the bundled majority/EIG factories.)
-``incremental=True`` routes executions through a prefix-sharing
-:class:`~repro.runtime.incremental.ExecutionTrie`, replaying shared
-round prefixes — the shrinker's one-atom-deleted candidates being the
-best case — from snapshots instead of re-running them.
+configurations become cache hits.  Two further equivalence-gated
+reductions: ``orbit_dedup=True`` canonicalizes each sampled scenario
+under the graph's automorphism group
+(:mod:`repro.graphs.automorphisms`) and executes one representative
+per orbit — the scan driver's dedup filter — reusing only the spec's
+ok-bit for the rest; the violating attempt itself is always
+re-executed for shrinking, so results stay byte-identical.  (Requires
+a node-symmetric device factory: every node gets behaviorally
+identical, label-equivariant devices, as with the bundled majority/EIG
+factories.)  ``incremental=True`` routes executions through a
+prefix-sharing :class:`~repro.runtime.incremental.ExecutionTrie`,
+replaying shared round prefixes — the shrinker's one-atom-deleted
+candidates being the best case — from snapshots instead of re-running
+them.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
@@ -75,14 +80,7 @@ from ..runtime.sync.executor import run
 from ..runtime.sync.system import make_system
 from .adversary_search import STRATEGIES, build_adversary
 from .parallel import ParallelRunner
-from .runstore import (
-    Shard,
-    decode_payload,
-    encode_payload,
-    journaled_map,
-    reusable,
-    run_scope_payload,
-)
+from .runstore import Shard, journaled_map
 
 DeviceFactory = Callable[[CommunicationGraph], Mapping[NodeId, SyncDevice]]
 
@@ -444,11 +442,10 @@ def execute_attempt(
     if cache is not None:
         key = _attempt_key(config, inputs, node_faults, plan)
         if obs.is_enabled():
-            # Telemetry-transparent caching (same scheme as
-            # memoized_run): traced entries carry the run-scope events
-            # of the original execution, replayed on every hit, so the
-            # trace never depends on cache warmth.  The hit/miss facts
-            # are host-scope.
+            # Telemetry-transparent caching: traced entries carry the
+            # run-scope events of the original execution, replayed on
+            # every hit, so the trace never depends on cache warmth.
+            # The hit/miss facts are host-scope.
             okey = key + ":obs"
             entry = cache.get(okey)
             if entry is not None:
@@ -636,35 +633,6 @@ def shrink_counterexample(
 # -- the campaign ----------------------------------------------------------
 
 
-@dataclass
-class SearchStats:
-    """Out-parameter collecting the optimization machinery a campaign
-    actually used, so callers (``repro campaign --cache-stats``) can
-    print hit/miss counters afterwards.  Deliberately **not** part of
-    :class:`CampaignResult`: results stay byte-identical with and
-    without the optimizations, counters don't.
-    """
-
-    cache: BehaviorCache | None = None
-    orbit_index: OrbitIndex | None = None
-    incremental: IncrementalContext | None = None
-
-    def describe(self) -> str:
-        """Render the ``--cache-stats`` block.
-
-        Since the observability subsystem landed, the counters are
-        folded into a :class:`~repro.obs.MetricsRegistry` (the live
-        one when telemetry is on, a throwaway otherwise) and rendered
-        from its gauges — same strings as before, one source of truth.
-        """
-        from ..obs import MetricsRegistry, describe_search_stats, get_registry
-
-        registry = get_registry()
-        if registry is None:
-            registry = MetricsRegistry()
-        return describe_search_stats(registry, self)
-
-
 def _sample_attempt(
     config: CampaignConfig, attempt: int
 ) -> tuple[tuple[NodeFault, ...], FaultPlan, dict[NodeId, Any]]:
@@ -736,20 +704,20 @@ def run_campaign(
     memoize: bool = True,
     orbit_dedup: bool = False,
     incremental: "IncrementalContext | bool | None" = None,
-    stats: SearchStats | None = None,
     store: Shard | None = None,
 ) -> CampaignResult:
     """Sample attempts under the combined budget until a spec violation
     appears (then shrink it) or the attempt budget is exhausted.
 
-    ``jobs > 1`` fans attempt evaluation across a process pool in
-    batches; the smallest violating attempt index wins, so the result
-    (including the shrunk counterexample and its trace) is identical
-    to the serial scan.  ``cache`` (created fresh when ``memoize`` and
-    not supplied) memoizes every execution by content — pass your own
-    :class:`~repro.runtime.memo.BehaviorCache` to read hit/miss
-    statistics afterwards, or ``memoize=False`` to measure uncached
-    cost.
+    The attempts ``1..attempts`` are one scan of
+    :func:`~repro.analysis.runstore.journaled_map`: merged in index
+    order, stopped at the first violation, so the smallest violating
+    index wins whatever ``jobs``, resume point or orbit dedup is in
+    effect.  ``jobs=1`` runs attempts one at a time and never executes
+    one past the violation; ``jobs > 1`` fans batches across a process
+    pool with identical results.  ``cache`` (created fresh when
+    ``memoize`` and not supplied) memoizes every execution by content;
+    ``memoize=False`` measures uncached cost.
 
     ``orbit_dedup=True`` executes one representative scenario per
     automorphism orbit and maps the spec's ok-bit back to the orbit's
@@ -757,254 +725,84 @@ def run_campaign(
     module docstring).  ``incremental`` (``True`` for a fresh context,
     or a shared :class:`~repro.runtime.incremental.IncrementalContext`)
     replays shared round prefixes from snapshots.  Neither changes the
-    result.  Pass a :class:`SearchStats` as ``stats`` to receive the
-    cache/orbit/trie objects for counter inspection afterwards.
+    result.  With telemetry on, the cache, orbit and trie counters are
+    folded into the live registry's ``host.*`` gauges.
 
     ``store`` (a :class:`~repro.analysis.runstore.Shard`, usually
     obtained via :func:`campaign_store_key`) journals every completed
     attempt's verdict — plus its run-scope events when telemetry is on
     — and skips attempts already journaled by an earlier, interrupted
-    process.  Resumed runs replay the journaled events, so results,
-    witnesses, traces and ``run.*`` metrics are byte-identical to an
-    uninterrupted run (checkpoint reuse facts are host-scope only).
+    process, at any ``jobs`` value.  Results, witnesses, traces and
+    ``run.*`` metrics are byte-identical to an uninterrupted run
+    (checkpoint reuse facts are host-scope only).
     """
     if cache is None and memoize:
         cache = BehaviorCache()
     if isinstance(incremental, bool):
         incremental = IncrementalContext() if incremental else None
     orbit_index = OrbitIndex(config.graph) if orbit_dedup else None
-    if stats is not None:
-        stats.cache = cache
-        stats.orbit_index = orbit_index
-        stats.incremental = incremental
-    if jobs > 1:
-        return _run_campaign_parallel(
-            config, jobs, cache, orbit_index, incremental, store
-        )
-    orbit_ok: dict[str, bool] = {}
-    obs_on = obs.is_enabled()
+    drawn: dict[int, tuple] = {}  # the sample behind the last orbit key
+    orbit_keys: dict[int, str] = {}
+    started = 0.0
 
-    def attempt_body(attempt: int) -> bool:
-        """One attempt's deterministic work, emitting its run events."""
-        node_faults, plan, inputs = _sample_attempt(config, attempt)
-        if orbit_index is not None:
-            key = orbit_index.canonical_key(
-                inputs, node_faults, plan, config.value_pool
-            )
-            if orbit_index.record(key):
-                obs.emit(obs.ORBIT_REUSE, attempt=attempt)
-                return orbit_ok[key]
-            _, verdict, _ = execute_attempt(
-                config, inputs, node_faults, plan, cache, incremental
-            )
-            orbit_ok[key] = verdict.ok
-            return verdict.ok
+    def probe(attempt: int) -> bool:
+        node_faults, plan, inputs = (
+            drawn.pop(attempt, None) or _sample_attempt(config, attempt)
+        )
         _, verdict, _ = execute_attempt(
             config, inputs, node_faults, plan, cache, incremental
         )
         return verdict.ok
 
-    for attempt in range(1, config.attempts + 1):
-        item_key = f"attempt:{attempt}"
-        record = store.get(item_key) if store is not None else None
-        if obs_on:
-            attempt_t0 = perf_counter()
-            obs.emit(obs.ATTEMPT_START, attempt=attempt)
-        if reusable(record):
-            # Journaled by an earlier process: replay its recorded
-            # run-scope events instead of re-executing, and rebuild the
-            # orbit bookkeeping so later *fresh* attempts dedup exactly
-            # as the uninterrupted run would have.
-            ok = bool(record["ok"])
-            obs.emit(obs.CHECKPOINT_REUSE, item=item_key)
-            obs.replay(decode_payload(record.get("obs", ())))
-            if orbit_index is not None:
-                node_faults, plan, inputs = _sample_attempt(config, attempt)
-                key = orbit_index.canonical_key(
-                    inputs, node_faults, plan, config.value_pool
-                )
-                orbit_index.record(key)
-                orbit_ok[key] = ok
-        elif store is not None and obs_on:
-            with obs.capture() as capsule:
-                ok = attempt_body(attempt)
-            payload = capsule.payload()
-            obs.replay(payload)
-            store.append(
-                item_key,
-                {
-                    "ok": ok,
-                    "obs": encode_payload(run_scope_payload(payload)),
-                },
-            )
-        else:
-            ok = attempt_body(attempt)
-            if store is not None:
-                store.append(item_key, {"ok": ok})
-        if obs_on:
-            obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
-            obs.observe_span("campaign.attempt", perf_counter() - attempt_t0)
-        if not ok:
-            if store is not None:
-                store.sync()
-            return _finish_campaign(config, attempt, cache, incremental)
-    if store is not None:
-        store.sync()
-    return CampaignResult(
-        config=config, attempts=config.attempts, found=None, shrunk=None
+    def orbit_key(attempt: int) -> str:
+        drawn.clear()
+        node_faults, plan, inputs = drawn[attempt] = _sample_attempt(
+            config, attempt
+        )
+        key = orbit_keys[attempt] = orbit_index.canonical_key(
+            inputs, node_faults, plan, config.value_pool
+        )
+        return key
+
+    def begin(attempt: int) -> None:
+        nonlocal started
+        started = perf_counter()
+        obs.emit(obs.ATTEMPT_START, attempt=attempt)
+
+    def end(attempt: int, ok: bool) -> None:
+        if orbit_index is not None:
+            orbit_index.record(orbit_keys.pop(attempt))
+        obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
+        obs.observe_span("campaign.attempt", perf_counter() - started)
+
+    oks = journaled_map(
+        ParallelRunner(jobs),
+        probe,
+        range(1, config.attempts + 1),
+        store,
+        key_fn=lambda attempt: f"attempt:{attempt}",
+        encode=lambda ok: {"ok": ok},
+        decode=lambda record: bool(record["ok"]),
+        dedup=orbit_key if orbit_index is not None else None,
+        stop=operator.not_,
+        begin=begin,
+        end=end,
     )
-
-
-def _run_campaign_parallel(
-    config: CampaignConfig,
-    jobs: int,
-    cache: BehaviorCache | None,
-    orbit_index: OrbitIndex | None = None,
-    incremental: IncrementalContext | None = None,
-    store: Shard | None = None,
-) -> CampaignResult:
-    """Parallel attempt scan: batches of indices fan out to workers,
-    which return only ``(attempt, spec ok)`` — small, picklable, and
-    free of the config's (unpicklable) device factory, which the
-    forked children inherit by memory instead.  Shrinking stays in the
-    parent, warmed by the parent-side cache.
-
-    With orbit dedup, sampling and canonicalization happen in the
-    parent; only one representative per unseen orbit is dispatched to
-    the pool, and the ok-bits map back to every member in index order —
-    so the first violating index is the same one the serial scan finds.
-
-    A ``store`` shard filters journaled attempts out of the dispatch
-    and journals fresh attempts as they merge (in index order, stopping
-    at the first violation — exactly the set the serial scan would
-    journal), with an fsync at each batch's merge point.  The journal
-    key is the attempt index, so a run checkpointed at one ``--jobs``
-    value resumes correctly at any other.
-    """
-
-    def probe(attempt: int) -> tuple[int, bool]:
-        node_faults, plan, inputs = _sample_attempt(config, attempt)
-        _, verdict, _ = execute_attempt(config, inputs, node_faults, plan)
-        return (attempt, verdict.ok)
-
-    def journal(item_key: str, ok: bool, payload: tuple) -> None:
-        if store is None:
-            return
-        value: dict[str, Any] = {"ok": ok}
-        if obs.is_enabled():
-            value["obs"] = encode_payload(run_scope_payload(payload))
-        store.append(item_key, value)
-
-    runner = ParallelRunner(jobs)
-    batch = max(4 * runner.jobs, 8)
-    first_bad: int | None = None
-    orbit_ok: dict[str, bool] = {}
-    for lo in range(1, config.attempts + 1, batch):
-        hi = min(lo + batch, config.attempts + 1)
-        indices = range(lo, hi)
-        records: dict[int, dict] = {}
-        if store is not None:
-            for attempt in indices:
-                rec = store.get(f"attempt:{attempt}")
-                if reusable(rec):
-                    records[attempt] = rec  # type: ignore[assignment]
-        if orbit_index is None:
-            # Workers capture each attempt's telemetry; the parent
-            # replays the payloads in index order, brackets them with
-            # the attempt events, and — like the serial scan — stops
-            # consuming at the first violation, discarding any events
-            # from attempts the serial run would never have executed.
-            pooled: dict[int, tuple[bool, tuple]] = {}
-            for (attempt, ok), payload in runner.map_captured(
-                probe, [a for a in indices if a not in records]
-            ):
-                pooled[attempt] = (ok, payload)
-            for attempt in indices:
-                item_key = f"attempt:{attempt}"
-                obs.emit(obs.ATTEMPT_START, attempt=attempt)
-                if attempt in records:
-                    record = records[attempt]
-                    ok = bool(record["ok"])
-                    obs.emit(obs.CHECKPOINT_REUSE, item=item_key)
-                    obs.replay(decode_payload(record.get("obs", ())))
-                else:
-                    ok, payload = pooled[attempt]
-                    obs.replay(payload)
-                    journal(item_key, ok, payload)
-                obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
-                if not ok:
-                    first_bad = attempt
-                    break
-        else:
-            keys: dict[int, str] = {}
-            representatives: list[int] = []
-            dispatched: set[str] = set()
-            for attempt in indices:
-                node_faults, plan, inputs = _sample_attempt(config, attempt)
-                key = orbit_index.canonical_key(
-                    inputs, node_faults, plan, config.value_pool
-                )
-                keys[attempt] = key
-                if attempt in records:
-                    # A journaled attempt's verdict seeds its orbit, so
-                    # fresh members of the same orbit are not
-                    # re-dispatched — matching the uninterrupted run.
-                    orbit_ok.setdefault(key, bool(records[attempt]["ok"]))
-                    continue
-                if key not in orbit_ok and key not in dispatched:
-                    representatives.append(attempt)
-                    dispatched.add(key)
-            rep_payloads: dict[int, tuple] = {}
-            for (attempt, ok), payload in runner.map_captured(
-                probe, representatives
-            ):
-                orbit_ok[keys[attempt]] = ok
-                rep_payloads[attempt] = payload
-            for attempt in indices:
-                item_key = f"attempt:{attempt}"
-                obs.emit(obs.ATTEMPT_START, attempt=attempt)
-                if attempt in records:
-                    record = records[attempt]
-                    ok = bool(record["ok"])
-                    obs.emit(obs.CHECKPOINT_REUSE, item=item_key)
-                    obs.replay(decode_payload(record.get("obs", ())))
-                    orbit_index.record(keys[attempt])
-                elif store is not None and obs.is_enabled():
-                    # Capture the merge body so the journal records the
-                    # same run events a serial execution of this attempt
-                    # emits (the representative's payload, or the orbit
-                    # reuse event).
-                    with obs.capture() as capsule:
-                        orbit_index.record(keys[attempt])
-                        if attempt in rep_payloads:
-                            obs.replay(rep_payloads[attempt])
-                        else:
-                            obs.emit(obs.ORBIT_REUSE, attempt=attempt)
-                    payload = capsule.payload()
-                    obs.replay(payload)
-                    ok = orbit_ok[keys[attempt]]
-                    journal(item_key, ok, payload)
-                else:
-                    orbit_index.record(keys[attempt])
-                    if attempt in rep_payloads:
-                        obs.replay(rep_payloads[attempt])
-                    else:
-                        obs.emit(obs.ORBIT_REUSE, attempt=attempt)
-                    ok = orbit_ok[keys[attempt]]
-                    journal(item_key, ok, ())
-                obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
-                if not ok:
-                    first_bad = attempt
-                    break
-        if store is not None:
-            store.sync()
-        if first_bad is not None:
-            break
-    if first_bad is None:
-        return CampaignResult(
+    if oks and not oks[-1]:
+        result = _finish_campaign(config, len(oks), cache, incremental)
+    else:
+        result = CampaignResult(
             config=config, attempts=config.attempts, found=None, shrunk=None
         )
-    return _finish_campaign(config, first_bad, cache, incremental)
+    registry = obs.get_registry()
+    if registry is not None:
+        if cache is not None:
+            obs.absorb_memo_stats(registry, cache.stats())
+        if orbit_index is not None:
+            obs.absorb_orbit_stats(registry, orbit_index.stats())
+        if incremental is not None:
+            obs.absorb_incremental_stats(registry, incremental.stats())
+    return result
 
 
 # -- graceful degradation --------------------------------------------------
@@ -1129,8 +927,10 @@ def degradation_frontier(
         range(max_links + 1),
         store,
         key_fn=lambda budget: f"level:{budget}",
-        encode=_frontier_row_to_jsonable,
-        decode=lambda data: _frontier_row_from_jsonable(data, config.graph),
+        encode=lambda row: {"r": _frontier_row_to_jsonable(row)},
+        decode=lambda record: _frontier_row_from_jsonable(
+            record["r"], config.graph
+        ),
     )
     first_break: dict[str, int | None] = dict.fromkeys(SPEC_CONDITIONS)
     for row in rows:
@@ -1255,7 +1055,6 @@ __all__ = [
     "FRONTIER_HEADERS",
     "FrontierRow",
     "NodeFault",
-    "SearchStats",
     "campaign_store_key",
     "counterexample_from_dict",
     "counterexample_to_dict",

@@ -29,7 +29,8 @@ Layout and guarantees
 * **Append-only journals with torn-tail recovery.**  Each record is one
   JSON line, written and flushed in a single call; a process killed
   mid-append can tear at most the final line, which the loader detects
-  and discards (the item simply re-executes on resume).  Garbage
+  and discards (the item simply re-executes on resume) and the next
+  append cuts off, so a store survives any number of kills.  Garbage
   *before* the last line is real corruption and raises
   :class:`RunStoreError` with a clear message.  ``fsync`` runs at merge
   points (:meth:`Shard.sync`), every :data:`FSYNC_EVERY` appends, and
@@ -164,21 +165,24 @@ class Shard:
         self._records: dict[str, dict] = {}
         self._fh = None
         self._unsynced = 0
+        self._torn_at: int | None = None  # byte offset of a torn tail
         self._load()
 
     def _load(self) -> None:
         if not self.path.exists():
             return
         try:
-            text = self.path.read_text()
+            data = self.path.read_bytes()
         except OSError as exc:
             raise RunStoreError(
                 f"cannot read journal shard {self.path}: {exc}"
             ) from exc
         pending: dict[str, dict] = {}
         bad_line: int | None = None
-        lines = text.split("\n")
+        offset = 0
+        lines = data.split(b"\n")
         for lineno, line in enumerate(lines, 1):
+            start, offset = offset, offset + len(line) + 1
             if not line.strip():
                 continue
             if bad_line is not None:
@@ -191,15 +195,19 @@ class Shard:
                 )
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
-                bad_line = lineno
-                continue
-            if not isinstance(record, dict) or "k" not in record:
-                bad_line = lineno
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                record = None
+            if (
+                lineno == len(lines)  # no newline: the append was cut
+                or not isinstance(record, dict)
+                or "k" not in record
+            ):
+                bad_line, self._torn_at = lineno, start
                 continue
             pending[str(record["k"])] = record.get("v", {})
-        # A trailing unparseable line is the signature of a crash
-        # mid-append: drop it, the item re-executes on resume.
+        # A trailing unterminated or unparseable line is the signature
+        # of a crash mid-append: drop it (the item re-executes on
+        # resume), and cut it off before the next append.
         self._records = pending
 
     def get(self, item_key: str) -> dict | None:
@@ -211,6 +219,9 @@ class Shard:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a")
+            if self._torn_at is not None:
+                self._fh.truncate(self._torn_at)
+                self._torn_at = None
         line = json.dumps(
             {"k": item_key, "v": value},
             sort_keys=True,
@@ -308,60 +319,124 @@ class RunStore:
         return meta
 
 
-# -- checkpoint-aware ordered map -------------------------------------------
+# -- the scan driver --------------------------------------------------------
 
 
 def journaled_map(
     runner: Any,
     fn: Callable[[T], R],
     items: Iterable[T],
-    shard: Shard | None,
-    key_fn: Callable[[T], str],
-    encode: Callable[[R], dict],
-    decode: Callable[[dict], R],
+    shard: Shard | None = None,
+    key_fn: Callable[[T], str] = str,
+    encode: Callable[[R], dict] | None = None,
+    decode: Callable[[dict], R] | None = None,
+    *,
+    dedup: Callable[[T], Any] | None = None,
+    stop: Callable[[R], bool] | None = None,
+    begin: Callable[[T], None] | None = None,
+    end: Callable[[T, R], None] | None = None,
 ) -> list[R]:
-    """An ordered map over ``items`` that skips journaled items.
+    """The one index-ordered scan: ``fn`` over ``items``, merged in
+    item order, journaled, deduplicated and stopped early on request.
 
-    The workhorse for frontier levels and sweep points: items whose key
-    is already in ``shard`` (with a telemetry payload when one is
-    needed — see :func:`reusable`) decode straight from the journal and
-    replay their recorded events; the rest fan out through ``runner``
-    (a :class:`~repro.analysis.parallel.ParallelRunner`), are merged in
-    item order, and are journaled as they merge.  The journal is
-    fsynced once per call (the merge point).  With ``shard=None`` this
-    degrades to ``runner.map`` semantics exactly.
+    Every scan in the package runs here — campaign attempts, indexed
+    attacks, frontier levels and sweep points — so the rules below hold
+    for all of them, at any ``runner.jobs``:
 
-    Results are byte-identical to an uninterrupted ``runner.map`` —
-    reused items replay the run-scope events their original execution
-    emitted, so traces and ``run.*`` metrics cannot tell the
-    difference.
+    * **Order.**  Results, events and journal appends are merged in
+      item order; ``begin(item)`` / ``end(item, result)`` bracket each
+      merged item's events.
+    * **Journal skip.**  An item whose record (under ``key_fn(item)``)
+      is in ``shard`` and :func:`reusable` is never dispatched: its
+      recorded run-scope events are replayed and ``decode(record)`` is
+      its result.  Fresh items are journaled as ``encode(result)`` plus,
+      with telemetry on, their run-scope events under ``"obs"``.
+    * **Dedup.**  With ``dedup``, only the first item of each
+      ``dedup(item)`` key runs; later items with that key reuse its
+      result (journaled items seed keys too) and emit
+      :data:`~repro.obs.ORBIT_REUSE` instead of running — the orbit
+      filter.
+    * **Stop.**  The scan ends after the first item whose result
+      matches ``stop``; nothing past it is replayed, journaled or
+      returned.
+    * **Batching.**  A parallel ``runner`` gets the fresh items in
+      batches of ``max(4 * jobs, 8)``, with an fsync at each batch's
+      merge point.  Otherwise items run one at a time, at their merge
+      position, so a serial scan never executes an item past the stop.
+
+    A resumed scan therefore returns, emits and journals exactly what an
+    uninterrupted one does: reused items replay the run-scope events
+    their original execution emitted.
     """
     work = list(items)
-    if shard is None:
-        return runner.map(fn, work)
-    keys = [key_fn(item) for item in work]
-    records = [shard.get(key) for key in keys]
-    fresh_indices = [i for i, rec in enumerate(records) if not reusable(rec)]
-    pooled = runner.map_captured(fn, [work[i] for i in fresh_indices])
-    fresh = dict(zip(fresh_indices, pooled))
-    obs_on = obs.is_enabled()
+    parallel = runner.parallel
+    chunk = max(4 * runner.jobs, 8) if parallel else 1
+    capture = shard is not None and obs.is_enabled()
+    first: dict[Any, R] = {}  # dedup key -> result of its first item
+    claimed: set[Any] = set()  # dedup keys whose first item is scheduled
     results: list[R] = []
-    for i in range(len(work)):
-        if i in fresh:
-            result, payload = fresh[i]
-            obs.replay(payload)
-            record = {"r": encode(result)}
-            if obs_on:
-                record["obs"] = encode_payload(run_scope_payload(payload))
-            shard.append(keys[i], record)
-        else:
-            record = records[i]
-            assert record is not None
-            obs.emit(obs.CHECKPOINT_REUSE, item=keys[i])
-            obs.replay(decode_payload(record.get("obs", ())))
-            result = decode(record["r"])
-        results.append(result)
-    shard.sync()
+
+    def run_here(item: T, key: Any, fresh: bool) -> R:
+        if fresh:
+            return fn(item)
+        obs.emit(obs.ORBIT_REUSE, attempt=item)
+        return first[key]
+
+    stopped = False
+    for lo in range(0, len(work), chunk):
+        batch = []  # (item, reusable record or None, dedup key, fresh)
+        for item in work[lo:lo + chunk]:
+            record = shard.get(key_fn(item)) if shard is not None else None
+            if not reusable(record):
+                record = None
+            key = dedup(item) if dedup is not None else None
+            fresh = record is None and (dedup is None or key not in claimed)
+            claimed.add(key)
+            batch.append((item, record, key, fresh))
+        pooled = None
+        if parallel:
+            pooled = iter(runner.map_captured(
+                fn, [item for item, _, _, fresh in batch if fresh]
+            ))
+        for item, record, key, fresh in batch:
+            if begin is not None:
+                begin(item)
+            if record is not None:
+                obs.emit(obs.CHECKPOINT_REUSE, item=key_fn(item))
+                obs.replay(decode_payload(record.get("obs", ())))
+                result = decode(record)
+            else:
+                if fresh and pooled is not None:
+                    result, payload = next(pooled)
+                    obs.replay(payload)
+                elif capture:
+                    with obs.capture() as capsule:
+                        result = run_here(item, key, fresh)
+                    payload = capsule.payload()
+                    obs.replay(payload)
+                else:
+                    result = run_here(item, key, fresh)
+                if shard is not None:
+                    value = encode(result)
+                    if capture:
+                        value["obs"] = encode_payload(
+                            run_scope_payload(payload)
+                        )
+                    shard.append(key_fn(item), value)
+            if dedup is not None:
+                first.setdefault(key, result)
+            if end is not None:
+                end(item, result)
+            results.append(result)
+            if stop is not None and stop(result):
+                stopped = True
+                break
+        if parallel and shard is not None:
+            shard.sync()
+        if stopped:
+            break
+    if shard is not None:
+        shard.sync()
     return results
 
 

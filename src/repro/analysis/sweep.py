@@ -193,8 +193,8 @@ def node_bound_sweep(
         points,
         store,
         key_fn=lambda point: f"point:{point!r}",
-        encode=_row_to_jsonable,
-        decode=_row_from_jsonable,
+        encode=lambda row: {"r": _row_to_jsonable(row)},
+        decode=lambda record: _row_from_jsonable(record["r"]),
     )
 
 
@@ -245,8 +245,8 @@ def connectivity_sweep(
         points,
         store,
         key_fn=lambda point: f"point:{point!r}",
-        encode=_row_to_jsonable,
-        decode=_row_from_jsonable,
+        encode=lambda row: {"r": _row_to_jsonable(row)},
+        decode=lambda record: _row_from_jsonable(record["r"]),
     )
 
 

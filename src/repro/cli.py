@@ -302,12 +302,10 @@ def _campaign_factory(protocol: str, faults: int):
 
 def _cmd_attack(args) -> int:
     from .analysis.adversary_search import search_agreement_attacks
-    from .runtime.memo import BehaviorCache
 
     graph = parse_graph(args.graph)
     factory, default_rounds = _campaign_factory(args.protocol, args.faults)
     rounds = args.rounds if args.rounds is not None else default_rounds
-    cache = BehaviorCache() if args.cache_stats else None
     result = search_agreement_attacks(
         graph,
         factory,
@@ -316,20 +314,14 @@ def _cmd_attack(args) -> int:
         attempts=args.attempts,
         seed=args.seed,
         jobs=args.jobs,
-        cache=cache,
     )
     print(result.describe())
-    if cache is not None:
-        registry = obs.get_registry() or obs.MetricsRegistry()
-        obs.absorb_cache_stats(registry, cache.stats())
-        print(obs.describe_cache(registry))
     return 0
 
 
 def _cmd_campaign(args) -> int:
     from .analysis.campaign import (
         CampaignConfig,
-        SearchStats,
         counterexample_from_dict,
         degradation_frontier,
         replay_counterexample,
@@ -384,12 +376,10 @@ def _cmd_campaign(args) -> int:
     if args.frontier:
         from .analysis.campaign import FRONTIER_HEADERS
 
-        frontier_cache = BehaviorCache() if args.cache_stats else None
         try:
             frontier = degradation_frontier(
                 config,
                 jobs=args.jobs,
-                cache=frontier_cache,
                 orbit_dedup=args.orbit_dedup,
                 incremental=args.incremental,
                 store=shard,
@@ -406,14 +396,9 @@ def _cmd_campaign(args) -> int:
             )
         )
         print(frontier.describe())
-        if frontier_cache is not None:
-            registry = obs.get_registry() or obs.MetricsRegistry()
-            obs.absorb_cache_stats(registry, frontier_cache.stats())
-            print(obs.describe_cache(registry))
         return 0
 
     cache = BehaviorCache()
-    stats = SearchStats()
     try:
         result = run_campaign(
             config,
@@ -421,19 +406,13 @@ def _cmd_campaign(args) -> int:
             cache=cache,
             orbit_dedup=args.orbit_dedup,
             incremental=args.incremental,
-            stats=stats,
             store=shard,
         )
     finally:
         if shard is not None:
             shard.close()
-    registry = obs.get_registry()
-    if registry is not None:
-        obs.absorb_search_stats(registry, stats)
     print(result.describe())
-    if args.cache_stats:
-        print(stats.describe())
-    elif args.verbose:
+    if args.verbose:
         print(cache.describe())
     if result.broken and args.verbose and result.injection_trace:
         print("injection trace of the shrunk counterexample:")
@@ -461,7 +440,6 @@ def _campaign_meta_args(args) -> dict:
         "jobs": args.jobs,
         "orbit_dedup": args.orbit_dedup,
         "incremental": args.incremental,
-        "cache_stats": args.cache_stats,
         "frontier": args.frontier,
         "replay": None,
         "json": args.json,
@@ -628,12 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel attack search with per-attempt seeding "
         "(same results for any N; omit for the legacy serial stream)",
     )
-    p.add_argument(
-        "--cache-stats", action="store_true",
-        help="memoize attack verdicts by content and print the cache's "
-        "hit/miss counters after the search (deprecated: the counters "
-        "now come from the metrics registry; prefer --metrics)",
-    )
     _add_telemetry_flags(p)
     p.set_defaults(func=_cmd_attack)
 
@@ -670,12 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--incremental", action="store_true",
         help="replay shared round prefixes from execution-trie snapshots "
         "(results unchanged, repeated prefixes become lookups)",
-    )
-    p.add_argument(
-        "--cache-stats", action="store_true",
-        help="print behavior-cache, orbit-dedup and prefix-trie hit/miss "
-        "counters after the run (deprecated: the counters now come from "
-        "the metrics registry; prefer --metrics)",
     )
     p.add_argument(
         "--frontier", action="store_true",

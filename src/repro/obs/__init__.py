@@ -35,10 +35,9 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
         "trace_lines", "write_trace",
     ),
     "metrics": (
-        "MetricsRegistry", "absorb_cache_stats", "absorb_connectivity_stats",
-        "absorb_incremental_stats", "absorb_orbit_stats",
-        "absorb_search_stats", "describe_cache", "describe_incremental",
-        "describe_orbit", "describe_search_stats", "metric_key",
+        "MetricsRegistry", "absorb_connectivity_stats",
+        "absorb_incremental_stats", "absorb_memo_stats", "absorb_orbit_stats",
+        "metric_key",
     ),
     "tracer": ("SpanAggregate", "Tracer"),
 })

@@ -1,10 +1,10 @@
 """Central metrics registry: counters, gauges, histograms.
 
 One interface absorbs the stats that used to be scattered across
-:class:`~repro.runtime.memo.BehaviorCache` (hit/miss),
-:class:`~repro.analysis.campaign.SearchStats`, the connectivity
-analytics cache, and the incremental execution trie — behind labeled
-metric names with a ``run.`` / ``host.`` scope split:
+:class:`~repro.runtime.memo.BehaviorCache` (hit/miss), the orbit
+index, the connectivity analytics cache, and the incremental execution
+trie — behind labeled metric names with a ``run.`` / ``host.`` scope
+split:
 
 * ``run.*`` metrics are derived exclusively from run-scope events as
   they reach the main event log (:meth:`MetricsRegistry.record_event`),
@@ -12,8 +12,8 @@ metric names with a ``run.`` / ``host.`` scope split:
   replays worker capsules in item order and the counters fall out of
   the same stream.
 * ``host.*`` metrics are process-local facts (cache luck, worker
-  pools, wall time) absorbed from the legacy stat objects; they are
-  printed in summaries but excluded from exported traces.
+  pools, wall time) absorbed from the stat objects that own them;
+  they are printed in summaries but excluded from exported traces.
 
 The module is dependency-free and imports nothing from the rest of the
 repo at module level, so every layer can use it without cycles.
@@ -162,10 +162,10 @@ class MetricsRegistry:
         return self._filtered(self.counters, RUN_SCOPE)
 
 
-# -- absorbing the legacy stat objects -------------------------------------
+# -- absorbing the stat objects ------------------------------------------
 
 
-def absorb_cache_stats(
+def absorb_memo_stats(
     registry: MetricsRegistry, stats: Mapping[str, int], cache: str = "behavior"
 ) -> None:
     """Fold a :meth:`BehaviorCache.stats`-shaped dict into ``host.cache.*``."""
@@ -200,100 +200,14 @@ def absorb_connectivity_stats(registry: MetricsRegistry) -> None:
         registry.set_gauge(f"host.connectivity.{name}", value)
 
 
-def absorb_search_stats(registry: MetricsRegistry, stats: Any) -> None:
-    """Fold a :class:`~repro.analysis.campaign.SearchStats` (duck-typed:
-    ``.cache`` / ``.orbit_index`` / ``.incremental``, each optional)
-    into the registry."""
-    if getattr(stats, "cache", None) is not None:
-        absorb_cache_stats(registry, stats.cache.stats())
-    if getattr(stats, "orbit_index", None) is not None:
-        absorb_orbit_stats(registry, stats.orbit_index.stats())
-    if getattr(stats, "incremental", None) is not None:
-        absorb_incremental_stats(registry, stats.incremental.stats())
-
-
-# -- legacy output shapes ---------------------------------------------------
-#
-# ``--cache-stats`` predates the registry; its output shape is kept
-# stable by rendering the same strings the stat objects' ``describe``
-# methods produced, now read back out of the registry.
-
-
-def describe_cache(
-    registry: MetricsRegistry, cache: str = "behavior"
-) -> str:
-    hits = int(registry.get_gauge("host.cache.hits", cache=cache))
-    misses = int(registry.get_gauge("host.cache.misses", cache=cache))
-    size = int(registry.get_gauge("host.cache.size", cache=cache))
-    maxsize = int(registry.get_gauge("host.cache.maxsize", cache=cache))
-    total = hits + misses
-    rate = (100.0 * hits / total) if total else 0.0
-    return (
-        f"cache: {hits} hits / {misses} misses "
-        f"({rate:.0f}% hit rate), {size}/{maxsize} entries"
-    )
-
-
-def describe_orbit(registry: MetricsRegistry) -> str:
-    g = int(registry.get_gauge("host.orbit.group_order"))
-    exact = int(registry.get_gauge("host.orbit.exact_group"))
-    seen = int(registry.get_gauge("host.orbit.scenarios_seen"))
-    orbits = int(registry.get_gauge("host.orbit.orbits"))
-    collapsed = int(registry.get_gauge("host.orbit.orbits_collapsed"))
-    saved = int(registry.get_gauge("host.orbit.runs_saved"))
-    return (
-        f"orbit dedup: |Aut|={g}"
-        f"{'' if exact else ' (identity fallback)'}, "
-        f"{seen} scenarios -> {orbits} orbits, "
-        f"{collapsed} collapsed, "
-        f"{saved} runs saved"
-    )
-
-
-def describe_incremental(registry: MetricsRegistry) -> str:
-    runs = int(registry.get_gauge("host.trie.runs"))
-    contexts = int(registry.get_gauge("host.trie.contexts"))
-    replayed = int(registry.get_gauge("host.trie.rounds_replayed"))
-    executed = int(registry.get_gauge("host.trie.rounds_executed"))
-    snapshots = int(registry.get_gauge("host.trie.snapshots"))
-    total = replayed + executed
-    ratio = replayed / total if total else 0.0
-    return (
-        f"incremental execution: {runs} runs over "
-        f"{contexts} contexts, "
-        f"{replayed}/{total} rounds replayed from "
-        f"snapshots ({ratio:.0%}), {snapshots} snapshots held"
-    )
-
-
-def describe_search_stats(registry: MetricsRegistry, stats: Any) -> str:
-    """Render the ``--cache-stats`` block from the registry in the
-    exact shape :meth:`SearchStats.describe` produced.  ``stats`` is
-    consulted only for *which* sections were in use."""
-    absorb_search_stats(registry, stats)
-    lines = []
-    if getattr(stats, "cache", None) is not None:
-        lines.append(describe_cache(registry))
-    if getattr(stats, "orbit_index", None) is not None:
-        lines.append(describe_orbit(registry))
-    if getattr(stats, "incremental", None) is not None:
-        lines.append(describe_incremental(registry))
-    return "\n".join(lines) or "no caches in use"
-
-
 __all__ = [
     "HOST_SCOPE",
     "Histogram",
     "MetricsRegistry",
     "RUN_SCOPE",
-    "absorb_cache_stats",
     "absorb_connectivity_stats",
     "absorb_incremental_stats",
+    "absorb_memo_stats",
     "absorb_orbit_stats",
-    "absorb_search_stats",
-    "describe_cache",
-    "describe_incremental",
-    "describe_orbit",
-    "describe_search_stats",
     "metric_key",
 ]

@@ -39,8 +39,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(__name__, {
     ),
     "incremental": ("ExecutionTrie", "IncrementalContext", "plan_signatures"),
     "memo": (
-        "BehaviorCache", "behavior_cache_of", "fingerprint",
-        "graph_fingerprint", "memoized_run", "plan_fingerprint",
+        "BehaviorCache", "fingerprint", "graph_fingerprint", "plan_fingerprint",
     ),
     "plan": ("SyncPlan", "TimedPlan", "compile_sync_plan", "compile_timed_plan"),
 })

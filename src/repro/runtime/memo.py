@@ -14,10 +14,9 @@ same horizon.  This module provides:
   :func:`graph_fingerprint` — canonical content keys.  Fingerprints
   hash *values* (sorted node/edge names, the fault plan's JSON form),
   never object identities, so a rebuilt-but-equal configuration hits.
-* :func:`memoized_run` — a drop-in for ``run()`` keyed by
-  ``(rounds, fault plan)`` with the cache stored on the system object
-  itself, so the memo lives exactly as long as the system and two
-  different systems can never alias.
+
+The campaign layer (:func:`repro.analysis.campaign.execute_attempt`)
+keys whole attempts by content through one :class:`BehaviorCache`.
 
 Correctness contract: a cache hit returns the *same objects* a fresh
 execution would have produced equal objects to.  That is only sound
@@ -33,15 +32,10 @@ import json
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
-from .. import obs
-from .faults import FaultPlan, InjectionTrace, SyncFaultInjector
+from .faults import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..graphs.graph import CommunicationGraph
-    from .sync.behavior import SyncBehavior
-    from .sync.system import SyncSystem
-
-_MEMO_ATTR = "_behavior_memo"
 
 
 class BehaviorCache:
@@ -151,85 +145,10 @@ def graph_fingerprint(graph: "CommunicationGraph") -> str:
     )
 
 
-# -- memoized execution ----------------------------------------------------
-
-
-def behavior_cache_of(system: "SyncSystem") -> BehaviorCache:
-    """The per-system behavior cache (created on first use).
-
-    Stored in the (frozen) system's ``__dict__`` — the
-    ``functools.cached_property`` trick — so its lifetime is the
-    system's and keys need not include system identity at all.
-    """
-    cache = system.__dict__.get(_MEMO_ATTR)
-    if cache is None:
-        cache = BehaviorCache(maxsize=64)
-        system.__dict__[_MEMO_ATTR] = cache
-    return cache
-
-
-def memoized_run(
-    system: "SyncSystem",
-    rounds: int,
-    plan: FaultPlan | None = None,
-    cache: BehaviorCache | None = None,
-) -> tuple["SyncBehavior", InjectionTrace | None]:
-    """Run ``system`` (optionally under a fault ``plan``), memoized.
-
-    Returns ``(behavior, injection trace)`` — the trace is ``None``
-    for fault-free runs.  Keys are ``(rounds, plan fingerprint)``
-    against the per-system cache (or an explicit shared ``cache``, in
-    which case system identity is part of the key via the compiled
-    plan's id — share caches across systems only through the campaign
-    layer, which keys by content).  Determinism makes caching the
-    trace sound: same system + same plan ⇒ identical trace.
-    """
-    from .sync.executor import run
-
-    if cache is None:
-        cache = behavior_cache_of(system)
-        key = fingerprint("sync-run", rounds, plan_fingerprint(plan))
-    else:
-        key = fingerprint("sync-run", id(system), rounds, plan_fingerprint(plan))
-
-    if obs.is_enabled():
-        # Telemetry-transparent caching: traced entries live under a
-        # separate key and carry the run-scope events the original
-        # execution emitted, so a hit replays exactly the event stream
-        # a fresh run would produce — cache warmth never changes the
-        # trace.  Hit/miss facts themselves are host-scope events.
-        okey = key + ":obs"
-        entry = cache.get(okey)
-        if entry is not None:
-            result, payload = entry
-            obs.emit(obs.CACHE_HIT, cache="behavior", op="sync-run")
-            obs.replay(payload)
-            return result
-        obs.emit(obs.CACHE_MISS, cache="behavior", op="sync-run")
-        injector = SyncFaultInjector(plan) if plan is not None else None
-        with obs.capture() as capsule:
-            behavior = run(system, rounds, injector)
-        obs.replay(capsule.payload())
-        result = (behavior, injector.trace if injector is not None else None)
-        cache.put(okey, (result, capsule.run_payload()))
-        return result
-
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    injector = SyncFaultInjector(plan) if plan is not None else None
-    behavior = run(system, rounds, injector)
-    result = (behavior, injector.trace if injector is not None else None)
-    cache.put(key, result)
-    return result
-
-
 __all__ = [
     "BehaviorCache",
-    "behavior_cache_of",
     "fingerprint",
     "graph_fingerprint",
     "json_fingerprint",
-    "memoized_run",
     "plan_fingerprint",
 ]

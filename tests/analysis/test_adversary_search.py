@@ -1,5 +1,7 @@
 """Adversary search: breaks naive devices fast, cannot break EIG."""
 
+import pytest
+
 from repro.analysis.adversary_search import search_agreement_attacks
 from repro.graphs import complete_graph
 from repro.protocols import MajorityVoteDevice, eig_devices
@@ -61,35 +63,16 @@ class TestAdversarySearch:
         assert not result.broken, result.describe()
 
 
-class TestVerdictMemoization:
-    def _search(self, cache=None, **overrides):
-        kwargs = dict(
-            max_faults=1, rounds=2, attempts=120, seed=7, cache=cache
-        )
-        kwargs.update(overrides)
-        return search_agreement_attacks(
-            complete_graph(4), lambda g: eig_devices(g, 1), **kwargs
-        )
-
-    def test_cache_does_not_change_the_result(self):
-        from repro.runtime.memo import BehaviorCache
-
-        plain = self._search()
-        cached = self._search(cache=BehaviorCache())
-        assert plain == cached
-
-    def test_repeated_draws_hit_the_cache(self):
-        from repro.runtime.memo import BehaviorCache
-
-        cache = BehaviorCache()
-        self._search(cache=cache)
-        # Small strategy space (silent/crash/two-faced on K4) repeats
-        # across 120 attempts; some of them must collide.
-        assert cache.hits > 0
-
-    def test_cache_works_in_indexed_mode(self):
-        from repro.runtime.memo import BehaviorCache
-
-        plain = self._search(jobs=1)
-        cached = self._search(cache=BehaviorCache(), jobs=1)
-        assert plain == cached
+class TestHorizonValidation:
+    def test_rounds_zero_rejected_on_both_paths(self):
+        # With no rounds nobody decides, which the spec would report as
+        # a vacuous termination break; both sampling paths refuse it.
+        for jobs in (None, 1):
+            with pytest.raises(ValueError, match="rounds must be at least 1"):
+                search_agreement_attacks(
+                    complete_graph(4),
+                    lambda g: {u: MajorityVoteDevice() for u in g.nodes},
+                    max_faults=1,
+                    rounds=0,
+                    jobs=jobs,
+                )

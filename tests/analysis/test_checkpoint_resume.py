@@ -90,32 +90,89 @@ def _truncate_journal(store_dir, key, keep):
     return len(lines)
 
 
+def _journal(store_dir, key):
+    return (Path(store_dir) / "shards" / f"{key}.jsonl").read_text()
+
+
 class TestCampaignResumeEquivalence:
-    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("breaking", [False, True])
+    @pytest.mark.parametrize(
+        "jobs,resume_jobs", [(1, 1), (4, 4), (1, 4), (4, 1)]
+    )
     @pytest.mark.parametrize("optimized", [False, True])
-    def test_resumed_equals_uninterrupted(self, tmp_path, jobs, optimized):
-        config = _surviving_config()
-        kwargs = dict(
-            jobs=jobs,
+    def test_resumed_equals_uninterrupted(
+        self, tmp_path, jobs, resume_jobs, optimized, breaking
+    ):
+        config = _breaking_config() if breaking else _surviving_config()
+        options = dict(
             orbit_dedup=optimized,
             incremental=True if optimized else None,
         )
-        golden, golden_trace = _run_traced(lambda: run_campaign(config))
+        plain = run_campaign(config)
         key = campaign_store_key(config)
+        # The uninterrupted serial run: result, trace and final journal.
+        with RunStore(tmp_path / "golden").shard(key) as shard:
+            golden, golden_trace = _run_traced(
+                lambda: run_campaign(config, store=shard, **options)
+            )
+        golden_journal = _journal(tmp_path / "golden", key)
 
-        with RunStore(tmp_path).shard(key) as shard:
+        store = tmp_path / "store"
+        with RunStore(store).shard(key) as shard:
             first, first_trace = _run_traced(
-                lambda: run_campaign(config, store=shard, **kwargs)
+                lambda: run_campaign(config, jobs=jobs, store=shard, **options)
             )
-        total = _truncate_journal(tmp_path, key, keep=3)
-        assert total == config.attempts
-        with RunStore(tmp_path).shard(key) as shard:
+        assert _journal(store, key) == golden_journal
+        total = _truncate_journal(store, key, keep=3)
+        expected = golden.found.attempt if breaking else config.attempts
+        assert total == expected
+        with RunStore(store).shard(key) as shard:
             resumed, resumed_trace = _run_traced(
-                lambda: run_campaign(config, store=shard, **kwargs)
+                lambda: run_campaign(
+                    config, jobs=resume_jobs, store=shard, **options
+                )
             )
 
-        assert _as_json(golden) == _as_json(first) == _as_json(resumed)
+        assert (
+            _as_json(plain) == _as_json(golden) == _as_json(first)
+            == _as_json(resumed)
+        )
         assert golden_trace == first_trace == resumed_trace
+        assert _journal(store, key) == golden_journal
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scan_stops_at_the_first_violation(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        from repro.analysis import campaign
+
+        config = _breaking_config()
+        k = run_campaign(config).found.attempt
+        assert k > 1
+        calls = []
+        scanned = []
+        execute = campaign.execute_attempt
+        finish = campaign._finish_campaign
+
+        def counting_execute(*args, **kwargs):
+            calls.append(1)
+            return execute(*args, **kwargs)
+
+        def noting_finish(*args, **kwargs):
+            scanned.append(len(calls))
+            return finish(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "execute_attempt", counting_execute)
+        monkeypatch.setattr(campaign, "_finish_campaign", noting_finish)
+        key = campaign_store_key(config)
+        with RunStore(tmp_path).shard(key) as shard:
+            result = run_campaign(config, jobs=jobs, store=shard)
+        assert result.found.attempt == k
+        assert len(_journal(tmp_path, key).splitlines()) == k
+        if jobs == 1:
+            # Forked workers' calls are invisible here; the serial scan
+            # must execute exactly the attempts up to the violation.
+            assert scanned == [k]
 
     def test_breaking_campaign_resumes_to_same_counterexample(
         self, tmp_path
@@ -293,3 +350,73 @@ class TestKillAndResume:
         )
         assert result.returncode == 2
         assert result.stderr.startswith("error:")
+
+
+class TestCrossVersionResume:
+    """A store checkpointed by an earlier release resumes unchanged.
+
+    ``data/parent_store`` was written by the release before the shared
+    scan driver: ``TestKillAndResume.ARGS`` with ``--json out.json
+    --trace out.trace --checkpoint store``, its journal cut after the
+    first 8 of 42 attempts (a kill between two appends).  Its
+    ``meta.json`` still holds the since-removed ``cache_stats`` flag.
+    Shard file names fingerprint the device factory's source location,
+    which moves with the checkout, so the journal is installed under
+    the name this checkout computes.
+    """
+
+    FIXTURE = Path(__file__).parent / "data" / "parent_store"
+
+    def _key(self):
+        from repro.cli import _campaign_factory, parse_graph
+
+        factory, _ = _campaign_factory("eig", 0)
+        return campaign_store_key(
+            CampaignConfig(
+                graph=parse_graph("complete:4"),
+                device_factory=factory,
+                rounds=2,
+                max_link_faults=1,
+                attempts=600,
+                seed=5,
+                link_kinds=("drop",),
+            )
+        )
+
+    def test_parent_store_resumes_byte_identically(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        key = self._key()
+        golden_dir = tmp_path / "golden"
+        golden_dir.mkdir()
+        monkeypatch.chdir(golden_dir)
+        assert main(
+            TestKillAndResume.ARGS
+            + ["--json", "out.json", "--trace", "out.trace",
+               "--checkpoint", "store"]
+        ) == 0
+        golden_out = capsys.readouterr().out
+
+        resume_dir = tmp_path / "resume"
+        (resume_dir / "store" / "shards").mkdir(parents=True)
+        journal = (self.FIXTURE / "shards" / "campaign.jsonl").read_text()
+        (resume_dir / "store" / "meta.json").write_text(
+            (self.FIXTURE / "meta.json").read_text()
+        )
+        (resume_dir / "store" / "shards" / f"{key}.jsonl").write_text(journal)
+        monkeypatch.chdir(resume_dir)
+        assert main(["resume", "store"]) == 0
+        assert capsys.readouterr().out == golden_out
+        for name in ("out.json", "out.trace"):
+            assert (resume_dir / name).read_bytes() == (
+                golden_dir / name
+            ).read_bytes()
+        # The old records were reused, not re-run into a fresh shard,
+        # and the finished journal is the one an uninterrupted run leaves.
+        shards = resume_dir / "store" / "shards"
+        assert [p.name for p in shards.iterdir()] == [f"{key}.jsonl"]
+        resumed = _journal(resume_dir / "store", key)
+        assert resumed.startswith(journal)
+        assert resumed == _journal(golden_dir / "store", key)

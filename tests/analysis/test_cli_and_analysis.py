@@ -287,15 +287,25 @@ class TestAttackAndCampaignCommands:
 
 class TestOptimizationFlags:
     def test_campaign_cache_stats(self, capsys):
+        # The cache, orbit and trie counters reach --metrics as host
+        # gauges: on these inputs the orbit index saves a run and the
+        # shrinker replays trie rounds.
+        flags = ["--orbit-dedup", "--incremental", "--metrics"]
         assert main(
             ["campaign", "--protocol", "eig", "--graph", "complete:4",
-             "--faults", "0", "--links", "1", "--attempts", "30",
-             "--orbit-dedup", "--incremental", "--cache-stats"]
+             "--faults", "0", "--links", "1", "--kinds", "drop",
+             "--rounds", "2", "--attempts", "30"] + flags
         ) == 0
-        out = capsys.readouterr().out
-        assert "orbit dedup" in out
-        assert "incremental execution" in out
-        assert "cache:" in out
+        gauges = _summary_values(capsys.readouterr().out)
+        assert gauges["host.orbit.runs_saved"] > 0
+        assert "host.cache.hits{cache=behavior}" in gauges
+        assert main(
+            ["--seed", "3", "campaign", "--protocol", "naive", "--graph",
+             "complete:4", "--links", "3", "--rounds", "3",
+             "--attempts", "40"] + flags
+        ) == 0
+        gauges = _summary_values(capsys.readouterr().out)
+        assert gauges["host.trie.rounds_replayed"] > 0
 
     def test_campaign_flags_do_not_change_output(self, capsys):
         args = ["campaign", "--protocol", "naive", "--graph", "complete:4",
@@ -307,18 +317,33 @@ class TestOptimizationFlags:
         assert plain == optimized
 
     def test_attack_cache_stats(self, capsys):
-        assert main(
-            ["attack", "--protocol", "naive", "--graph", "complete:4",
-             "--faults", "1", "--attempts", "40", "--cache-stats"]
-        ) == 0
-        assert "cache:" in capsys.readouterr().out
+        # The deprecated flag is gone: argparse rejects it.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["attack", "--protocol", "naive", "--graph", "complete:4",
+                 "--faults", "1", "--attempts", "40", "--cache-stats"]
+            )
+        assert exc.value.code == 2
+        assert "--cache-stats" in capsys.readouterr().err
 
     def test_frontier_cache_stats(self, capsys):
         assert main(
             ["campaign", "--protocol", "naive", "--graph", "complete:4",
              "--links", "1", "--attempts", "20", "--frontier",
-             "--cache-stats", "--orbit-dedup", "--incremental"]
+             "--metrics", "--orbit-dedup", "--incremental"]
         ) == 0
         out = capsys.readouterr().out
         assert "graceful degradation" in out
-        assert "cache:" in out
+        gauges = _summary_values(out)
+        assert gauges["host.orbit.scenarios_seen"] > 0
+        assert "host.cache.misses{cache=behavior}" in gauges
+
+
+def _summary_values(out):
+    """``name value`` lines of the ``--metrics`` telemetry summary."""
+    values = {}
+    for line in out.partition("== telemetry summary ==")[2].splitlines():
+        parts = line.split()
+        if len(parts) == 2 and parts[1].lstrip("-").isdigit():
+            values[parts[0]] = int(parts[1])
+    return values

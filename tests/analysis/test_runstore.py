@@ -78,6 +78,26 @@ class TestShard:
         assert survivor.get("b") == {"ok": True}
         assert survivor.get("c") is None
 
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        # Resume after a crash, then crash again: the records appended
+        # after the torn tail must not fuse with it into one bad line.
+        path = tmp_path / "s.jsonl"
+        with Shard(path) as shard:
+            shard.append("a", {"ok": True})
+        torn = path.read_text()
+        for tail in ('{"k": "b", "v": {"ok"', json.dumps({"k": "b", "v": {}})):
+            path.write_text(torn + tail)
+            with Shard(path) as shard:
+                assert shard.keys() == ["a"]
+                shard.append("b", {"ok": True})
+                shard.append("c", {"ok": False})
+            assert path.read_text() == torn + "".join(
+                json.dumps({"k": k, "v": {"ok": ok}}, separators=(",", ":"))
+                + "\n"
+                for k, ok in (("b", True), ("c", False))
+            )
+            assert Shard(path).keys() == ["a", "b", "c"]
+
     def test_mid_file_garbage_raises(self, tmp_path):
         path = tmp_path / "s.jsonl"
         lines = [
@@ -199,8 +219,8 @@ class TestJournaledMap:
             return journaled_map(
                 ParallelRunner(1), fn, [1, 2, 3], shard,
                 key_fn=str,
-                encode=lambda r: {"v": r},
-                decode=lambda d: d["v"],
+                encode=lambda r: {"r": {"v": r}},
+                decode=lambda d: d["r"]["v"],
             )
 
         path = tmp_path / "s.jsonl"
@@ -225,8 +245,8 @@ class TestJournaledMap:
             out = journaled_map(
                 ParallelRunner(1), fn, [1, 2, 3], shard,
                 key_fn=str,
-                encode=lambda r: {"v": r},
-                decode=lambda d: d["v"],
+                encode=lambda r: {"r": {"v": r}},
+                decode=lambda d: d["r"]["v"],
             )
         assert out == [-1, -2, -3]
         assert calls == [1, 3]

@@ -3,16 +3,17 @@
 Orbit dedup, incremental (prefix-trie) execution, and both combined —
 serially and through the parallel scan — must produce campaign
 reports byte-identical to the plain path, for breaking and surviving
-campaigns alike.  SearchStats and the serial fallback of
-ParallelRunner are covered here too.
+campaigns alike.  The search counters a telemetry-on campaign folds
+into the metrics registry and the serial fallback of ParallelRunner
+are covered here too.
 """
 
 import json
 import logging
 
+from repro import obs
 from repro.analysis.campaign import (
     CampaignConfig,
-    SearchStats,
     degradation_frontier,
     run_campaign,
 )
@@ -126,30 +127,35 @@ class TestOptimizedCampaignEquivalence:
         assert plain == optimized
 
 
+def _host_gauges(**kwargs):
+    """Run a campaign under fresh telemetry; return (result, host gauges)."""
+    obs.enable()
+    try:
+        result = run_campaign(**kwargs)
+        return result, obs.get_registry().snapshot("host")["gauges"]
+    finally:
+        obs.reset()
+
+
 class TestSearchStats:
     def test_stats_collects_the_machinery(self):
         config = _config(
             device_factory=_eig_factory, rounds=2, max_link_faults=1,
             attempts=30, seed=5,
         )
-        stats = SearchStats()
-        run_campaign(
-            config, orbit_dedup=True, incremental=True, stats=stats
+        _, gauges = _host_gauges(
+            config=config, orbit_dedup=True, incremental=True
         )
-        assert stats.cache is not None
-        assert stats.orbit_index is not None
-        assert stats.incremental is not None
-        text = stats.describe()
-        assert "orbit dedup" in text
-        assert "incremental execution" in text
-        assert stats.orbit_index.stats()["scenarios_seen"] > 0
+        assert "host.cache.misses{cache=behavior}" in gauges
+        assert gauges["host.orbit.scenarios_seen"] == config.attempts
+        assert gauges["host.trie.runs"] > 0
 
     def test_stats_empty_without_optimizations(self):
-        stats = SearchStats()
-        run_campaign(_config(attempts=5), memoize=False, stats=stats)
-        assert stats.orbit_index is None
-        assert stats.incremental is None
-        assert stats.describe() == "no caches in use"
+        _, gauges = _host_gauges(config=_config(attempts=5), memoize=False)
+        assert not any(
+            name.startswith(("host.cache.", "host.orbit.", "host.trie."))
+            for name in gauges
+        )
 
     def test_orbit_dedup_actually_saves_runs(self):
         # Drop-only faults on K4 with uniform-ish inputs collapse hard.
@@ -161,10 +167,9 @@ class TestSearchStats:
             seed=11,
             link_kinds=("drop",),
         )
-        stats = SearchStats()
-        result = run_campaign(config, orbit_dedup=True, stats=stats)
+        result, gauges = _host_gauges(config=config, orbit_dedup=True)
         assert not result.broken
-        assert stats.orbit_index.stats()["runs_saved"] > 0
+        assert gauges["host.orbit.runs_saved"] > 0
 
 
 class TestParallelRunnerFallback:

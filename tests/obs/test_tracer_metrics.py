@@ -89,60 +89,3 @@ class TestRegistryDerivation:
         assert "run.events.round_start" in run
         assert "host.events.cache_hit" in host
         assert not any(k.startswith("host.") for k in run)
-
-
-class TestLegacyRendering:
-    def test_describe_cache_matches_behavior_cache_describe(self):
-        from repro.runtime.memo import BehaviorCache
-
-        cache = BehaviorCache(maxsize=64)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.get("b") is None
-        registry = MetricsRegistry()
-        obs.absorb_cache_stats(registry, cache.stats())
-        assert obs.describe_cache(registry) == cache.describe()
-
-    def test_describe_search_stats_matches_legacy_shape(self):
-        from repro.analysis.campaign import CampaignConfig, SearchStats, run_campaign
-        from repro.graphs import complete_graph
-        from repro.protocols import MajorityVoteDevice
-        from repro.runtime.incremental import IncrementalContext
-        from repro.runtime.memo import BehaviorCache
-
-        config = CampaignConfig(
-            graph=complete_graph(4),
-            device_factory=lambda g: {
-                u: MajorityVoteDevice() for u in g.nodes
-            },
-            rounds=2,
-            max_node_faults=0,
-            max_link_faults=2,
-            attempts=20,
-            seed=0,
-        )
-        stats = SearchStats()
-        run_campaign(
-            config,
-            cache=BehaviorCache(),
-            orbit_dedup=True,
-            incremental=IncrementalContext(),
-            stats=stats,
-        )
-        out = stats.describe()
-        assert "cache:" in out
-        assert "orbit dedup:" in out
-        assert "incremental execution:" in out
-        # Rendering is pure: same stats, same strings.
-        assert out == stats.describe()
-
-    def test_absorb_search_stats_handles_missing_sections(self):
-        registry = MetricsRegistry()
-
-        class Empty:
-            cache = None
-            orbit_index = None
-            incremental = None
-
-        obs.absorb_search_stats(registry, Empty())
-        assert obs.describe_search_stats(registry, Empty()) == "no caches in use"

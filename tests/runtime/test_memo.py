@@ -18,10 +18,8 @@ from repro.protocols.naive import MajorityVoteDevice
 from repro.runtime.faults import FaultPlan, LinkFault
 from repro.runtime.memo import (
     BehaviorCache,
-    behavior_cache_of,
     fingerprint,
     graph_fingerprint,
-    memoized_run,
     plan_fingerprint,
 )
 from repro.runtime.sync.executor import run
@@ -115,40 +113,6 @@ class TestFingerprints:
         assert graph_fingerprint(complete_graph(4)) != graph_fingerprint(
             complete_graph(5)
         )
-
-
-class TestMemoizedRun:
-    def test_equals_fresh_run_and_hits(self):
-        system = _system()
-        fresh = run(system, 3)
-        b1, t1 = memoized_run(system, 3)
-        b2, t2 = memoized_run(system, 3)
-        assert b1 == fresh == b2
-        assert t1 is None and t2 is None
-        assert behavior_cache_of(system).stats()["hits"] == 1
-
-    def test_fault_plan_keys_separately(self):
-        system = _system()
-        plan = _plan(system.graph)
-        b_free, _ = memoized_run(system, 3)
-        b_faulty, trace = memoized_run(system, 3, plan=plan)
-        assert trace is not None
-        assert b_free != b_faulty
-        # Same plan content rebuilt from scratch still hits.
-        b_again, trace_again = memoized_run(
-            system, 3, plan=_plan(system.graph)
-        )
-        assert b_again == b_faulty and trace_again == trace
-
-    def test_explicit_shared_cache_keys_by_system_identity(self):
-        cache = BehaviorCache()
-        s1, s2 = _system(), _system()
-        b1, _ = memoized_run(s1, 3, cache=cache)
-        b2, _ = memoized_run(s2, 3, cache=cache)
-        # Two distinct system objects never alias in a shared cache,
-        # even with equal content.
-        assert cache.stats()["misses"] == 2
-        assert b1 == b2
 
 
 class TestCampaignMemoization:
